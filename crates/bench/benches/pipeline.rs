@@ -1,11 +1,9 @@
-//! End-to-end pipeline benchmarks: whole-universe crawl and annotation at
-//! several corpus scales, and the analysis/table-regeneration pass.
+//! End-to-end pipeline benchmarks: world synthesis, the whole streaming
+//! pipeline at several corpus scales, and the analysis/table-regeneration
+//! pass.
 
 use aipan_analysis::{insights::Insights, tables};
 use aipan_core::{run_pipeline, PipelineConfig};
-use aipan_crawler::{crawl_all, PoolConfig};
-use aipan_net::fault::FaultInjector;
-use aipan_net::Client;
 use aipan_webgen::{build_world, WorldConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -16,38 +14,6 @@ fn bench_world_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             b.iter(|| build_world(WorldConfig::small(9, size)))
         });
-    }
-    group.finish();
-}
-
-fn bench_crawl_universe(c: &mut Criterion) {
-    let world = build_world(WorldConfig::small(9, 300));
-    let client = Client::new(
-        world.internet.clone(),
-        FaultInjector::new(world.config.seed, world.config.faults),
-    );
-    let domains: Vec<String> = world
-        .universe
-        .unique_domains()
-        .iter()
-        .map(|c| c.domain.clone())
-        .collect();
-    let mut group = c.benchmark_group("crawl_universe_300");
-    group.sample_size(10);
-    for workers in [1usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    crawl_all(
-                        black_box(&client),
-                        black_box(&domains),
-                        PoolConfig { workers },
-                    )
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -100,7 +66,6 @@ fn bench_analysis(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_world_build,
-    bench_crawl_universe,
     bench_full_pipeline,
     bench_analysis,
 );

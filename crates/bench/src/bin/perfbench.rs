@@ -1,10 +1,10 @@
 //! perfbench — deterministic wall-clock harness for the pipeline hot path.
 //!
-//! Times the three stages that dominate a corpus run — world synthesis,
-//! crawling, and the end-to-end annotation pipeline — at fixed sizes and
-//! worker counts, and appends the measurements to `BENCH_pipeline.json` so
-//! the repository accumulates a perf trajectory across PRs (the workloads
-//! are seeded and deterministic; only the wall-clock varies by machine).
+//! Times the two stages of a corpus run — world synthesis and the
+//! end-to-end streaming pipeline — at fixed sizes and worker counts, and
+//! appends the measurements to `BENCH_pipeline.json` so the repository
+//! accumulates a perf trajectory across PRs (the workloads are seeded and
+//! deterministic; only the wall-clock varies by machine).
 //!
 //! ```text
 //! perfbench                        # standard grid: 100/300/1000 × {1,4,8}
@@ -16,15 +16,15 @@
 //! perfbench --out /tmp/bench.json  # write somewhere else
 //! ```
 //!
-//! Cells come in two modes. `eager` builds the whole synthetic web up
-//! front (the historical measurement; `world_build_ms` covers full site
-//! materialization and `crawl_ms` a standalone crawl pass). `streaming`
-//! builds a lazy world — sites materialize on first fetch inside the
-//! pipeline's worker chain and are released per domain — so `crawl_ms` is
-//! folded into `pipeline_ms` and `peak_resident_bytes` (the site
-//! generator's high-water mark) stays bounded by in-flight domains rather
-//! than the universe. Every entry also records per-stage ms/domain so
-//! cells of different sizes compare directly.
+//! Every cell runs in `streaming` mode on a lazy world: sites materialize
+//! on first fetch inside the pipeline's worker chain and are released per
+//! domain, so the crawl is folded into `pipeline_ms` (`crawl_ms` is
+//! recorded as `0.0`) and `peak_resident_bytes` (the site generator's
+//! high-water mark) stays bounded by in-flight domains rather than the
+//! universe. Entries written by older versions also carry `eager` cells,
+//! which built the whole web up front and timed a standalone crawl pass;
+//! they still load. Every entry records per-stage ms/domain so cells of
+//! different sizes compare directly.
 //!
 //! Sizes off the standard grid {100, 300, 1000, 3000, 10000} are rejected
 //! unless `--adhoc` is passed: an earlier PR recorded its "standard" cells
@@ -48,10 +48,9 @@
 
 use aipan_bench::trajectory;
 use aipan_core::{run_pipeline, PipelineConfig};
-use aipan_crawler::{crawl_all, PoolConfig};
-use aipan_net::fault::{FaultConfig, FaultInjector};
-use aipan_net::Client;
-use aipan_webgen::{build_world, build_world_lazy, WorldConfig};
+use aipan_crawler::default_workers;
+use aipan_net::fault::FaultConfig;
+use aipan_webgen::{build_world_lazy, WorldConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -66,8 +65,9 @@ const STANDARD_SIZES: &[usize] = &[100, 300, 1000, 3000, 10000];
 struct BenchEntry {
     /// Caller-supplied tag (e.g. `pre-PR3-baseline`, `post-PR3`).
     label: String,
-    /// `eager` (whole web built up front) or `streaming` (lazy per-domain
-    /// generation, sites released as domains finish).
+    /// `streaming` (lazy per-domain generation, sites released as domains
+    /// finish) or `supervised` (the `--chaos-smoke` fault-stack cell);
+    /// older entries may also read `eager` (whole web built up front).
     mode: String,
     /// Universe size (company domains attempted).
     domains: usize,
@@ -78,11 +78,12 @@ struct BenchEntry {
     host_os: String,
     /// Worker-thread count for crawl and annotation pools.
     workers: usize,
-    /// World synthesis wall-clock (ms). In streaming mode this is only
-    /// universe/fate synthesis — no site materialization.
+    /// World synthesis wall-clock (ms): universe/fate synthesis only — no
+    /// site materialization.
     world_build_ms: f64,
-    /// Crawl-only wall-clock (ms). `0.0` in streaming mode, where the
-    /// crawl happens inside the pipeline's per-domain worker chain.
+    /// Crawl-only wall-clock (ms). Always `0.0`: the crawl happens inside
+    /// the pipeline's per-domain worker chain. Kept so every entry has the
+    /// shape of the old ones, which timed a standalone crawl.
     crawl_ms: f64,
     /// End-to-end pipeline wall-clock (ms) — crawl + extract + segment +
     /// annotate + verify + funnel.
@@ -94,9 +95,8 @@ struct BenchEntry {
     /// `pipeline_ms / domains`.
     pipeline_ms_per_domain: f64,
     /// High-water mark of generated-site residency (bytes) from the world's
-    /// memory gauge: the whole universe for eager cells, the in-flight
-    /// window for streaming cells. An estimate — site pages only, not
-    /// process RSS.
+    /// memory gauge: the in-flight window (the whole universe for old eager
+    /// entries). An estimate — site pages only, not process RSS.
     peak_resident_bytes: usize,
     /// Annotated-domain count (work-equivalence check across entries).
     annotated: usize,
@@ -112,43 +112,16 @@ struct BenchEntry {
 // `aipan_bench::trajectory`, which preserves members this harness
 // version does not know about instead of silently dropping them.
 
-fn measure(label: &str, domains: usize, workers: usize, chaos: bool, lazy: bool) -> BenchEntry {
+fn measure(label: &str, domains: usize, workers: usize, chaos: bool) -> BenchEntry {
     let mut config = WorldConfig::small(SEED, domains);
     if chaos {
         config.faults = FaultConfig::chaotic();
     }
     let t0 = Instant::now();
-    let world = if lazy {
-        build_world_lazy(config)
-    } else {
-        build_world(config)
-    };
+    let world = build_world_lazy(config);
     let world_build_ms = ms(t0);
 
-    // Standalone crawl pass, eager cells only: on a lazy world it would
-    // materialize every site without releasing any, defeating the
-    // bounded-memory measurement the streaming cells exist for.
-    let crawl_ms = if world.is_lazy() {
-        0.0
-    } else {
-        let client = Client::new(
-            world.internet.clone(),
-            FaultInjector::new(world.config.seed, world.config.faults),
-        );
-        let domain_names: Vec<String> = world
-            .universe
-            .unique_domains()
-            .iter()
-            .map(|c| c.domain.clone())
-            .collect();
-        let t1 = Instant::now();
-        let crawls = crawl_all(&client, &domain_names, PoolConfig { workers });
-        let elapsed = ms(t1);
-        drop(crawls);
-        elapsed
-    };
-
-    let t2 = Instant::now();
+    let t1 = Instant::now();
     let run = run_pipeline(
         &world,
         PipelineConfig {
@@ -157,7 +130,7 @@ fn measure(label: &str, domains: usize, workers: usize, chaos: bool, lazy: bool)
             ..Default::default()
         },
     );
-    let pipeline_ms = ms(t2);
+    let pipeline_ms = ms(t1);
 
     let per = |stage_ms: f64| {
         if domains == 0 {
@@ -168,16 +141,16 @@ fn measure(label: &str, domains: usize, workers: usize, chaos: bool, lazy: bool)
     };
     BenchEntry {
         label: label.to_string(),
-        mode: if lazy { "streaming" } else { "eager" }.to_string(),
+        mode: "streaming".to_string(),
         domains,
         host_nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
         host_os: std::env::consts::OS.to_string(),
         workers,
         world_build_ms,
-        crawl_ms,
+        crawl_ms: 0.0,
         pipeline_ms,
         world_ms_per_domain: per(world_build_ms),
-        crawl_ms_per_domain: per(crawl_ms),
+        crawl_ms_per_domain: 0.0,
         pipeline_ms_per_domain: per(pipeline_ms),
         peak_resident_bytes: world.site_memory.peak_bytes(),
         annotated: run.extraction.annotated,
@@ -322,7 +295,6 @@ fn ms(since: Instant) -> f64 {
 struct Cell {
     domains: usize,
     workers: usize,
-    lazy: bool,
 }
 
 fn main() {
@@ -373,48 +345,32 @@ fn main() {
         for &domains in &adhoc_domains {
             cells.push(Cell {
                 domains,
-                workers: PoolConfig::default().workers,
-                lazy: false,
+                workers: default_workers(),
             });
         }
     } else if chaos {
         cells.push(Cell {
             domains: 300,
             workers: 4,
-            lazy: false,
         });
     } else if smoke {
-        // On-grid smoke: two eager cells plus one streaming cell so the
-        // lazy-generation path is exercised on every verify drive.
+        // On-grid smoke: the serial and a pooled cell.
         for workers in [1, 2] {
             cells.push(Cell {
                 domains: 100,
                 workers,
-                lazy: false,
             });
         }
-        cells.push(Cell {
-            domains: 100,
-            workers: 2,
-            lazy: true,
-        });
     } else {
         for &domains in &[100, 300, 1000] {
             for workers in [1, 4, 8] {
-                cells.push(Cell {
-                    domains,
-                    workers,
-                    lazy: false,
-                });
+                cells.push(Cell { domains, workers });
             }
         }
-        // The scale cells run streaming-only: eager materialization of a
-        // 10000-domain web is exactly the O(universe) cost they disprove.
         for &domains in &[3000, 10000] {
             cells.push(Cell {
                 domains,
                 workers: 8,
-                lazy: true,
             });
         }
     }
@@ -449,26 +405,24 @@ fn main() {
 
     println!("label={label} cells: {}", cells.len());
     println!(
-        "{:>8} {:>8} {:>10} {:>12} {:>10} {:>12} {:>10} {:>14} {:>12}",
+        "{:>8} {:>8} {:>10} {:>12} {:>12} {:>10} {:>14} {:>12}",
         "domains",
         "workers",
         "mode",
         "world ms",
-        "crawl ms",
         "pipeline ms",
         "annotated",
         "peak site B",
         "ms/domain"
     );
     for cell in &cells {
-        let entry = measure(&label, cell.domains, cell.workers, chaos, cell.lazy);
+        let entry = measure(&label, cell.domains, cell.workers, chaos);
         println!(
-            "{:>8} {:>8} {:>10} {:>12.1} {:>10.1} {:>12.1} {:>10} {:>14} {:>12.3}",
+            "{:>8} {:>8} {:>10} {:>12.1} {:>12.1} {:>10} {:>14} {:>12.3}",
             entry.domains,
             entry.workers,
             entry.mode,
             entry.world_build_ms,
-            entry.crawl_ms,
             entry.pipeline_ms,
             entry.annotated,
             entry.peak_resident_bytes,
@@ -481,12 +435,11 @@ fn main() {
         // top of the network chaos, contract-checked before recording.
         let entry = measure_supervised_chaos(&label, 100, 4);
         println!(
-            "{:>8} {:>8} {:>10} {:>12.1} {:>10.1} {:>12.1} {:>10} {:>14} {:>12.3} (quarantined {})",
+            "{:>8} {:>8} {:>10} {:>12.1} {:>12.1} {:>10} {:>14} {:>12.3} (quarantined {})",
             entry.domains,
             entry.workers,
             entry.mode,
             entry.world_build_ms,
-            entry.crawl_ms,
             entry.pipeline_ms,
             entry.annotated,
             entry.peak_resident_bytes,

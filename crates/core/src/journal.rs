@@ -1,13 +1,14 @@
-//! Checkpoint/resume journal for pipeline runs.
+//! Checkpoint/resume journal format for pipeline runs.
 //!
-//! [`run_pipeline_resumable`](crate::run_pipeline_resumable) records every
-//! processed domain's [`DomainOutcome`](crate::pipeline::DomainOutcome) in a
-//! [`RunJournal`]. The journal serializes to sorted JSONL (one domain per
-//! line, ordered by domain), so an interrupted run can be resumed: domains
-//! already journaled are replayed from their recorded outcome instead of
-//! re-annotated, and — because every per-domain outcome is a pure function
-//! of `(world, config)` — the resumed run's dataset is byte-identical to an
-//! uninterrupted one.
+//! [`run_pipeline_sharded`](crate::run_pipeline_sharded) records every
+//! processed domain's [`DomainOutcome`](crate::pipeline::DomainOutcome) as a
+//! [`JournalEntry`] in a [`ShardedJournal`](crate::ShardedJournal). A
+//! [`RunJournal`] is that journal's merged, sorted view, and its JSONL form
+//! (one domain per line, ordered by domain) is the consolidated file an
+//! interrupted run resumes from: domains already journaled are replayed
+//! from their recorded outcome instead of re-annotated, and — because every
+//! per-domain outcome is a pure function of `(world, config)` — the resumed
+//! run's dataset is byte-identical to an uninterrupted one.
 //!
 //! Loading is tolerant of a torn tail: a process killed mid-write leaves a
 //! truncated final line, which parses as garbage and is simply dropped

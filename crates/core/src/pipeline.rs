@@ -3,12 +3,12 @@
 use crate::annotate::{annotate_policy_in, AnnotateArena, AnnotateOptions};
 use crate::dataset::{AnnotatedPolicy, Dataset, SegmentationMethod};
 use crate::health::{HealthInputs, RunHealth};
-use crate::journal::{JournalEntry, RunJournal};
+use crate::journal::JournalEntry;
 use crate::segment::{self, Method, SegmentedPolicy};
 use crate::shard::{ShardedJournal, DEFAULT_SHARDS};
 use aipan_chatbot::{ModelProfile, SimulatedChatbot, TokenUsage};
 use aipan_crawler::{
-    stream_all_supervised, CrawlFunnel, CrawlOptions, DeadLetter, DomainCrawl, PoolConfig,
+    default_workers, stream_all_supervised, CrawlFunnel, CrawlOptions, DeadLetter, DomainCrawl,
     SupervisorOptions,
 };
 use aipan_html::{extract, lang, ExtractedDoc};
@@ -45,7 +45,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             seed: 42,
-            workers: PoolConfig::default().workers,
+            workers: default_workers(),
             profile: ModelProfile::gpt4_turbo(),
             annotate: AnnotateOptions::default(),
             use_segmentation: true,
@@ -161,20 +161,14 @@ impl Pipeline {
         &self.chatbot
     }
 
-    /// Process one crawled domain into an annotated policy.
-    ///
-    /// Returns `None` when the crawl failed, when no page survives the
-    /// content/language filters, or when text extraction fails per the
-    /// §3.2.1 success definition.
-    pub fn process_domain(&self, crawl: &DomainCrawl, sector: Sector) -> Option<AnnotatedPolicy> {
-        self.process_domain_full(crawl, sector).policy
-    }
-
     /// Process one crawled domain, returning its funnel contributions
     /// alongside the policy: the pages are extracted exactly once and both
     /// the `english_privacy_pages` count and the policy-page selection come
-    /// from that single pass (`run_pipeline` previously re-extracted the
-    /// whole corpus a second time just to count pages).
+    /// from that single pass.
+    ///
+    /// The policy is `None` when the crawl failed, when no page survives
+    /// the content/language filters, or when text extraction fails per the
+    /// §3.2.1 success definition.
     pub fn process_domain_full(&self, crawl: &DomainCrawl, sector: Sector) -> DomainOutcome {
         self.process_domain_arena(crawl, sector, &mut AnnotateArena::new())
     }
@@ -271,42 +265,16 @@ pub struct DomainOutcome {
     pub policy: Option<AnnotatedPolicy>,
 }
 
-/// Run the full pipeline over a simulated world.
+/// Run the full pipeline over a simulated world, checkpointing into an
+/// in-memory journal. Callers that want durable incremental checkpoints
+/// (and resume) use [`run_pipeline_sharded`] with [`ShardedJournal::open`].
 pub fn run_pipeline(world: &World, config: PipelineConfig) -> PipelineRun {
-    run_pipeline_resumable(world, config, &mut RunJournal::new())
-}
-
-/// Run the full pipeline, checkpointing into (and resuming from) `journal`.
-///
-/// Domains already present in `journal` are replayed from their recorded
-/// [`JournalEntry`] instead of re-annotated; every newly processed domain
-/// is journaled. Because each per-domain outcome is a pure deterministic
-/// function of `(world, config)`, a run resumed from any prefix of a prior
-/// run's journal produces a byte-identical dataset and funnel — only token
-/// usage differs (replayed domains cost no chatbot calls). Crawling is
-/// always re-run: it is cheap, deterministic, and its transport metrics
-/// are not part of the journaled state.
-///
-/// This is a thin wrapper over [`run_pipeline_sharded`] with an in-memory
-/// sharded journal; callers that want durable incremental checkpoints use
-/// [`run_pipeline_sharded`] with [`ShardedJournal::open`] directly.
-pub fn run_pipeline_resumable(
-    world: &World,
-    config: PipelineConfig,
-    journal: &mut RunJournal,
-) -> PipelineRun {
-    let sharded = ShardedJournal::in_memory(DEFAULT_SHARDS);
-    for entry in journal.iter() {
-        sharded.record(entry.clone());
-    }
-    let run = run_pipeline_sharded(world, config, &sharded);
-    *journal = sharded.merged();
-    run
+    run_pipeline_sharded(world, config, &ShardedJournal::in_memory(DEFAULT_SHARDS))
 }
 
 /// The streaming pipeline engine: every domain flows through
 /// generate → crawl → extract → segment → annotate → journal inside **one**
-/// worker task ([`stream_all_with`]), instead of crawling the whole
+/// worker task ([`stream_all_supervised`]), instead of crawling the whole
 /// universe first and annotating it second.
 ///
 /// Streaming is what bounds memory: a crawl's page bodies are dropped the
@@ -318,10 +286,15 @@ pub fn run_pipeline_resumable(
 /// across its policies) and a private [`CrawlFunnel`] (merged commutatively
 /// afterwards, so the totals match a serial run exactly).
 ///
-/// Already-journaled domains are re-crawled (cheap, and the crawl funnel is
-/// not journaled state) but not re-annotated. Results are deterministic and
-/// worker-count-invariant: the dataset, funnels, and journal contents are
-/// byte-identical for any `config.workers`.
+/// Domains already in `journal` are replayed from their recorded
+/// [`JournalEntry`] instead of re-annotated; every newly processed domain
+/// is journaled. They are still re-crawled (cheap, and the crawl funnel is
+/// not journaled state). Because each per-domain outcome is a pure
+/// function of `(world, config)`, a run resumed from any prefix of a prior
+/// run's journal produces a byte-identical dataset and funnel — only token
+/// usage differs (replayed domains cost no chatbot calls). Results are
+/// also worker-count-invariant: the dataset, funnels, and journal contents
+/// are byte-identical for any `config.workers`.
 ///
 /// The drive is *supervised* ([`stream_all_supervised`]): a panic anywhere
 /// in one domain's chain is caught, dead-lettered into the journal's
@@ -373,9 +346,7 @@ pub fn run_pipeline_sharded(
     let outcome = stream_all_supervised(
         &client,
         &domains,
-        PoolConfig {
-            workers: config.workers,
-        },
+        config.workers,
         &config.crawl,
         &supervisor,
         || WorkerState {
@@ -604,7 +575,8 @@ mod tests {
         let crawl = aipan_crawler::crawl_domain(&client, "pick.com");
         let pipeline = Pipeline::new(PipelineConfig::default());
         let policy = pipeline
-            .process_domain(&crawl, Sector::InformationTechnology)
+            .process_domain_full(&crawl, Sector::InformationTechnology)
+            .policy
             .expect("policy extracted");
         assert_eq!(policy.policy_path, "/privacy-notice-full");
     }
@@ -634,7 +606,10 @@ mod tests {
         let crawl = aipan_crawler::crawl_domain(&client, "de.com");
         assert!(crawl.is_success(), "crawl itself succeeds");
         let pipeline = Pipeline::new(PipelineConfig::default());
-        assert!(pipeline.process_domain(&crawl, Sector::Energy).is_none());
+        assert!(pipeline
+            .process_domain_full(&crawl, Sector::Energy)
+            .policy
+            .is_none());
     }
 
     #[test]
@@ -666,7 +641,10 @@ mod tests {
             "PDF still counts as a potential privacy page"
         );
         let pipeline = Pipeline::new(PipelineConfig::default());
-        assert!(pipeline.process_domain(&crawl, Sector::Materials).is_none());
+        assert!(pipeline
+            .process_domain_full(&crawl, Sector::Materials)
+            .policy
+            .is_none());
     }
 
     #[test]

@@ -221,8 +221,8 @@ pub struct ShardedJournal {
 
 impl ShardedJournal {
     /// An in-memory sharded journal (no segment files): the checkpoint
-    /// store for callers that only want resume-from-a-prior-`RunJournal`
-    /// semantics without durability.
+    /// store of a run that needs no durability, such as
+    /// [`run_pipeline`](crate::run_pipeline).
     pub fn in_memory(shards: usize) -> ShardedJournal {
         let shards = shards.max(1);
         ShardedJournal {
@@ -522,17 +522,14 @@ impl ShardedJournal {
     }
 
     /// [`ShardedJournal::consolidate`], stopping at `stop` — the kill-point
-    /// hook for crash-window tests. The consolidated file is written *and
-    /// fsynced* before any segment is deleted, so a crash between the two
-    /// steps finds either the old segments or a durable consolidated file,
-    /// never neither (the original implementation deleted segments against
-    /// an unsynced file, and a crash in that window could lose every
-    /// acknowledged outcome).
+    /// hook for crash-window tests. The consolidated file replaces `base`
+    /// durably (sibling temp file, fsync, rename, directory fsync) before
+    /// any segment is deleted, so a crash at any point finds either the old
+    /// file and segments or a durable consolidated file, never neither. On
+    /// a resumed run the old `base` holds the prior run's entries, which no
+    /// segment repeats.
     pub fn consolidate_until(&self, base: &Path, stop: ConsolidateStep) -> std::io::Result<()> {
-        let mut file = File::create(base)?;
-        file.write_all(self.merged().to_jsonl().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
+        replace_durably(base, self.merged().to_jsonl().as_bytes())?;
         if stop == ConsolidateStep::AfterSync {
             return Ok(());
         }
@@ -565,14 +562,34 @@ impl ShardedJournal {
             text.push_str(&serde_json::to_string(record).unwrap_or_default());
             text.push('\n');
         }
-        let mut file = File::create(&path)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-        drop(file);
+        // The quarantine file is the only copy of the kill counts, so it is
+        // replaced, never truncated in place.
+        replace_durably(&path, text.as_bytes())?;
         store.writer = OpenOptions::new().append(true).open(&path).ok();
         store.appended = 0;
         Ok(())
     }
+}
+
+/// Replace the file at `path` with `bytes` durably: write a sibling
+/// `<path>.tmp`, fsync it, rename it over `path`, then fsync the parent
+/// directory so the rename itself survives a crash. Until the rename lands
+/// `path` keeps its old contents, so a crash mid-write never truncates the
+/// only durable copy.
+fn replace_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()
 }
 
 /// Where [`ShardedJournal::consolidate_until`] stops.
@@ -729,6 +746,72 @@ mod tests {
         for i in 0..15 {
             assert!(reopened.contains(&format!("d{i}.com")));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn consolidation_replaces_files_instead_of_truncating_them() {
+        let dir = scratch_dir("replace");
+        let base = dir.join("run.jsonl");
+        let quarantine = quarantine_path(&base);
+        {
+            let journal = ShardedJournal::open(&base, 4);
+            journal.record(entry("first.com", 1));
+            journal.record_dead_letter("boom.com", "crawl", "host exploded");
+            journal.consolidate(&base).expect("first consolidation");
+        }
+        // Hard links pin the inodes holding the prior run's only copies:
+        // its entries (in `base`, repeated by no segment on resume) and its
+        // kill counts (in the quarantine file).
+        let old_base = std::fs::read(&base).unwrap();
+        let base_link = dir.join("base.link");
+        let quarantine_link = dir.join("quarantine.link");
+        std::fs::hard_link(&base, &base_link).unwrap();
+        std::fs::hard_link(&quarantine, &quarantine_link).unwrap();
+
+        let journal = ShardedJournal::open(&base, 4);
+        journal.record(entry("second.com", 2));
+        assert_eq!(
+            journal.record_dead_letter("boom.com", "crawl", "host exploded"),
+            2
+        );
+        // The dead letter appended to the quarantine inode in place; the
+        // compaction below must not rewrite that inode.
+        let appended = std::fs::read_to_string(&quarantine_link).unwrap();
+        assert_eq!(appended.lines().count(), 2);
+        journal.consolidate(&base).expect("second consolidation");
+
+        assert_eq!(
+            std::fs::read(&base_link).unwrap(),
+            old_base,
+            "consolidation rewrote the prior journal in place"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&quarantine_link).unwrap(),
+            appended,
+            "compaction rewrote the quarantine in place"
+        );
+        let text = std::fs::read_to_string(&base).unwrap();
+        assert_eq!(RunJournal::from_jsonl(&text), journal.merged());
+        assert_eq!(journal.merged().len(), 2);
+        let compacted = std::fs::read_to_string(&quarantine).unwrap();
+        assert_eq!(compacted.lines().count(), 1);
+        assert!(compacted.contains("\"kills\":2"));
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            [
+                "base.link",
+                "quarantine.link",
+                "run.jsonl",
+                "run.jsonl.quarantine.jsonl"
+            ],
+            "no temp file or segment left behind"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,8 +21,8 @@
 //! exclusion policy before crawling, skips disallowed paths, and accounts
 //! the politeness delay implied by `Crawl-delay`.
 //!
-//! Modules: [`crawl`] (single-domain procedure), [`pool`] (crossbeam worker
-//! pool for whole-universe crawls with graceful shutdown), [`report`]
+//! Modules: [`crawl`] (single-domain procedure), [`pool`] (the supervised
+//! worker pool that runs every domain's crawl → process chain), [`report`]
 //! (funnel accounting matching §3.1/§4).
 
 #![warn(missing_docs)]
@@ -37,8 +37,8 @@ pub use crawl::{
     LinkSource, MAX_PAGES,
 };
 pub use pool::{
-    crawl_all, crawl_all_with, stream_all_supervised, stream_all_with, DeadLetter, FailStage,
-    PoolConfig, SupervisedOutcome, SupervisorOptions,
+    default_workers, stream_all_supervised, DeadLetter, FailStage, SupervisedOutcome,
+    SupervisorOptions,
 };
 pub use report::{CrawlFunnel, CrawlReport};
 pub use robots::RobotsPolicy;

@@ -1,237 +1,26 @@
-//! Whole-universe crawling on a crossbeam worker pool.
+//! The supervised worker pool that drives every domain's chain.
 //!
-//! Work distribution follows the channel-based worker pattern of the
-//! networking guides (adapted from async task spawning to scoped threads,
-//! since the dependency set is synchronous): a bounded job channel feeds
-//! `workers` threads, each driving its own clone of the shared [`Client`];
-//! results flow back over a second channel and are re-sorted by domain so
-//! output order is deterministic regardless of scheduling.
+//! [`stream_all_supervised`] is the engine's only pool. Workers claim
+//! domains from a shared atomic cursor over the input slice; each one runs
+//! the whole crawl → `process` chain for the domain it claimed, with every
+//! stage under `catch_unwind`, and keeps its results, dead letters and
+//! private state until it exits. The caller merges the workers' yields and
+//! sorts them by domain, so output order is deterministic regardless of
+//! scheduling. There are no channels and no feeder thread: with
+//! `workers <= 1` the same worker loop simply runs on the caller's thread.
 
 use crate::crawl::{crawl_domain_with, CrawlOptions, DomainCrawl};
 use aipan_net::Client;
-use crossbeam::channel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Worker-pool configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
-    /// Number of crawler worker threads.
-    pub workers: usize,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get().min(16))
-            .unwrap_or(4);
-        PoolConfig { workers }
-    }
-}
-
-/// Crawl every domain in `domains` with default [`CrawlOptions`] and return
-/// the results sorted by domain.
-pub fn crawl_all(client: &Client, domains: &[String], config: PoolConfig) -> Vec<DomainCrawl> {
-    crawl_all_with(client, domains, config, &CrawlOptions::default())
-}
-
-/// Crawl every domain in `domains` and return the results sorted by domain.
-///
-/// Each domain crawl owns its own fetch session seeded from `options`, so
-/// results are byte-identical for any worker count. The pool shuts down
-/// gracefully: the job channel is closed after the last job, workers drain
-/// it and exit, and the scope joins them all before returning. If a worker
-/// panics, the panic is propagated to the caller instead of returning a
-/// silently truncated result set. With `workers <= 1` the crawl runs
-/// serially on the caller's thread — same results, none of the thread or
-/// channel overhead.
-pub fn crawl_all_with(
-    client: &Client,
-    domains: &[String],
-    config: PoolConfig,
-    options: &CrawlOptions,
-) -> Vec<DomainCrawl> {
-    let workers = config.workers.max(1);
-    if workers == 1 {
-        // Serial fast path: no threads, no channels, no clones of the
-        // client — just the same per-domain crawl in the same sorted
-        // order the pool would produce.
-        let mut results: Vec<DomainCrawl> = Vec::with_capacity(domains.len());
-        for domain in domains {
-            results.push(crawl_domain_with(client, domain, options));
-        }
-        results.sort_by(|a, b| a.domain.cmp(&b.domain));
-        return results;
-    }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<DomainCrawl>();
-
-    let mut results: Vec<DomainCrawl> = Vec::with_capacity(domains.len());
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            worker_handles.push(scope.spawn(move |_| {
-                for domain in job_rx.iter() {
-                    let crawl = crawl_domain_with(&client, &domain, &options);
-                    if res_tx.send(crawl).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-
-        // Feed jobs from this thread while collecting results to avoid
-        // deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for crawl in res_rx.iter() {
-            results.push(crawl);
-        }
-        // The feeder thread body cannot panic; a failed join only means the
-        // thread was torn down, and the result channel has already drained.
-        let _ = feeder.join();
-        // All workers have exited (the result channel drained), so joins
-        // cannot block. A panicking worker means `results` is truncated and
-        // silently wrong — re-raise its original panic payload loudly.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        // Defense in depth for crossbeam implementations that report child
-        // panics through the scope result instead.
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.domain.cmp(&b.domain));
-    results
-}
-
-/// Drive every domain through the **whole** per-domain chain on the worker
-/// pool: each worker crawls a domain and immediately hands the finished
-/// crawl to `process`, so generate → crawl → extract → annotate run
-/// end-to-end inside one worker task instead of parallelizing only the
-/// crawl stage. `process` takes the crawl by value — page bodies can be
-/// dropped the moment the domain is done, which is what bounds a streaming
-/// run's memory by in-flight domains rather than the universe.
-///
-/// `init` builds one private state value per worker (scratch arenas,
-/// per-worker tallies); `process` may mutate it freely without locks.
-/// Returns the per-domain results sorted by domain — byte-identical for
-/// any worker count, because each domain's work is a pure function of the
-/// domain — plus every worker's final state (in unspecified order: fold
-/// worker states commutatively). With `workers <= 1` everything runs
-/// serially on the caller's thread, no threads or channels.
-pub fn stream_all_with<S, R, I, F>(
-    client: &Client,
-    domains: &[String],
-    config: PoolConfig,
-    options: &CrawlOptions,
-    init: I,
-    process: F,
-) -> (Vec<(String, R)>, Vec<S>)
-where
-    S: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, DomainCrawl) -> R + Sync,
-{
-    let workers = config.workers.max(1);
-    if workers == 1 {
-        let mut state = init();
-        let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-        for domain in domains {
-            let crawl = crawl_domain_with(client, domain, options);
-            results.push((domain.clone(), process(&mut state, crawl)));
-        }
-        results.sort_by(|a, b| a.0.cmp(&b.0));
-        return (results, vec![state]);
-    }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<(String, R)>();
-    let (state_tx, state_rx) = channel::unbounded::<S>();
-
-    let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let state_tx = state_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            let init = &init;
-            let process = &process;
-            worker_handles.push(scope.spawn(move |_| {
-                let mut state = init();
-                for domain in job_rx.iter() {
-                    let crawl = crawl_domain_with(&client, &domain, &options);
-                    let result = process(&mut state, crawl);
-                    if res_tx.send((domain, result)).is_err() {
-                        break;
-                    }
-                }
-                let _ = state_tx.send(state);
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-        drop(state_tx);
-
-        // Feed jobs from a dedicated thread while this one collects
-        // results, to avoid deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for pair in res_rx.iter() {
-            results.push(pair);
-        }
-        // The feeder body cannot panic; a failed join only means teardown,
-        // and the result channel has already drained.
-        let _ = feeder.join();
-        // All workers have exited (the result channel drained). A panicking
-        // worker means `results` is silently truncated — re-raise it.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    let states: Vec<S> = state_rx.into_iter().collect();
-    (results, states)
+/// Default worker count: the host's available parallelism, capped at 16
+/// (4 when the host does not report it).
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().min(16))
+        .unwrap_or(4)
 }
 
 /// Stage of the per-domain chain a supervised panic was caught in.
@@ -404,9 +193,25 @@ fn run_chain<S, R>(
     }
 }
 
-/// [`stream_all_with`], under a fault-isolating supervisor: a panic
-/// anywhere in one domain's chain no longer kills the run. The panic is
-/// caught per-domain, rendered into a [`DeadLetter`] (handed to
+/// What one worker hands back when the cursor runs dry: its final state,
+/// the results of the domains it completed, and its dead letters.
+type WorkerYield<S, R> = (S, Vec<(String, R)>, Vec<DeadLetter>);
+
+/// Drive every domain through the **whole** per-domain chain under a
+/// fault-isolating supervisor: each worker crawls a domain and immediately
+/// hands the finished crawl to `process`, so generate → crawl → extract →
+/// annotate run end-to-end inside one worker task. `process` takes the
+/// crawl by value — page bodies can be dropped the moment the domain is
+/// done, which is what bounds a streaming run's memory by in-flight domains
+/// rather than the universe.
+///
+/// `init` builds one private state value per worker (scratch arenas,
+/// per-worker tallies); `process` may mutate it freely without locks.
+/// Results are byte-identical for any worker count, because each domain's
+/// work is a pure function of the domain.
+///
+/// A panic anywhere in one domain's chain does not kill the run. The panic
+/// is caught per-domain, rendered into a [`DeadLetter`] (handed to
 /// `on_dead_letter` at the moment it happens, e.g. to quarantine it in a
 /// journal), the worker's state is repaired through `recover` — reset
 /// scratch buffers, keep commutative tallies — and the worker moves on to
@@ -421,7 +226,7 @@ fn run_chain<S, R>(
 pub fn stream_all_supervised<S, R, I, F, G, D>(
     client: &Client,
     domains: &[String],
-    config: PoolConfig,
+    workers: usize,
     options: &CrawlOptions,
     supervisor: &SupervisorOptions<'_>,
     init: I,
@@ -437,13 +242,24 @@ where
     G: Fn(&mut S) + Sync,
     D: Fn(&DeadLetter) + Sync,
 {
-    let workers = config.workers.max(1);
+    let workers = workers.max(1);
     let gate = AdmissionGate::new(supervisor);
-    if workers == 1 {
+    let cursor = AtomicUsize::new(0);
+    // The one worker loop: claim the next index, admit, run the chain,
+    // release, then keep the result or recover and dead-letter.
+    let work = || -> WorkerYield<S, R> {
+        let share = domains.len().div_ceil(workers);
         let mut state = init();
-        let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-        let mut dead_letters: Vec<DeadLetter> = Vec::with_capacity(domains.len());
-        for domain in domains {
+        let mut results: Vec<(String, R)> = Vec::with_capacity(share);
+        let mut dead_letters: Vec<DeadLetter> = Vec::with_capacity(share);
+        // One worker can win at most every claim, so the slice length
+        // bounds its loop. `Relaxed` suffices: each `fetch_add` hands out a
+        // distinct index, the cursor publishes no other data, and results
+        // travel back through the join.
+        for _ in 0..domains.len() {
+            let Some(domain) = domains.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
             gate.admit();
             let outcome = run_chain(client, domain, options, &mut state, &process);
             gate.release();
@@ -461,111 +277,40 @@ where
                 }
             }
         }
-        results.sort_by(|a, b| a.0.cmp(&b.0));
-        dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
-        return SupervisedOutcome {
-            results,
-            dead_letters,
-            states: vec![state],
-            backpressure_stalls: gate.stalls.load(Ordering::Relaxed),
-        };
-    }
-    let (job_tx, job_rx) = channel::bounded::<String>(workers * 2);
-    let (res_tx, res_rx) = channel::unbounded::<(String, R)>();
-    let (dead_tx, dead_rx) = channel::unbounded::<DeadLetter>();
-    let (state_tx, state_rx) = channel::unbounded::<S>();
+        (state, results, dead_letters)
+    };
+    let yields: Vec<WorkerYield<S, R>> = if workers == 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            // Workers catch every per-domain panic, so a join failure can
+            // only come from the supervisor scaffolding itself — re-raise it.
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    };
 
-    let mut results: Vec<(String, R)> = Vec::with_capacity(domains.len());
-    let gate = &gate;
-    let scope_result = crossbeam::scope(|scope| {
-        let mut worker_handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let dead_tx = dead_tx.clone();
-            let state_tx = state_tx.clone();
-            let client = client.clone();
-            let options = *options;
-            let init = &init;
-            let process = &process;
-            let recover = &recover;
-            let on_dead_letter = &on_dead_letter;
-            worker_handles.push(scope.spawn(move |_| {
-                let mut state = init();
-                for domain in job_rx.iter() {
-                    gate.admit();
-                    let outcome = run_chain(&client, &domain, &options, &mut state, process);
-                    gate.release();
-                    match outcome {
-                        ChainOutcome::Done(result) => {
-                            if res_tx.send((domain, result)).is_err() {
-                                break;
-                            }
-                        }
-                        ChainOutcome::Died(stage, message) => {
-                            recover(&mut state);
-                            let letter = DeadLetter {
-                                domain,
-                                stage,
-                                message,
-                            };
-                            on_dead_letter(&letter);
-                            if dead_tx.send(letter).is_err() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                let _sent = state_tx.send(state);
-            }));
-        }
-        drop(job_rx);
-        drop(res_tx);
-        drop(dead_tx);
-        drop(state_tx);
-
-        // Feed jobs from a dedicated thread while this one collects
-        // results, to avoid deadlock on the bounded job channel.
-        let feeder = scope.spawn({
-            let job_tx = job_tx.clone();
-            let domains = domains.to_vec();
-            move |_| {
-                for d in domains {
-                    if job_tx.send(d).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        drop(job_tx);
-        for pair in res_rx.iter() {
-            results.push(pair);
-        }
-        // The feeder body cannot panic; a failed join only means teardown,
-        // and the result channel has already drained.
-        let _joined = feeder.join();
-        // Workers catch every per-domain panic, so a join failure here can
-        // only come from the supervisor scaffolding itself — re-raise it.
-        for handle in worker_handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-
-    results.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut dead_letters: Vec<DeadLetter> = dead_rx.into_iter().collect();
-    dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
-    let states: Vec<S> = state_rx.into_iter().collect();
-    SupervisedOutcome {
-        results,
-        dead_letters,
-        states,
+    let mut outcome = SupervisedOutcome {
+        results: Vec::with_capacity(domains.len()),
+        dead_letters: Vec::new(),
+        states: Vec::with_capacity(yields.len()),
         backpressure_stalls: gate.stalls.load(Ordering::Relaxed),
+    };
+    for (state, results, dead_letters) in yields {
+        outcome.states.push(state);
+        outcome.results.extend(results);
+        outcome.dead_letters.extend(dead_letters);
     }
+    outcome.results.sort_by(|a, b| a.0.cmp(&b.0));
+    outcome.dead_letters.sort_by(|a, b| a.domain.cmp(&b.domain));
+    outcome
 }
 
 #[cfg(test)]
@@ -575,6 +320,7 @@ mod tests {
     use aipan_net::host::StaticSite;
     use aipan_net::http::Response;
     use aipan_net::Internet;
+    use proptest::prelude::*;
 
     fn make_net(n: usize) -> (Internet, Vec<String>) {
         let net = Internet::new();
@@ -595,11 +341,42 @@ mod tests {
         (net, domains)
     }
 
+    /// Crawl every domain on the pool with a pass-through `process`: the
+    /// crawls come back sorted by domain, and none may be dead-lettered.
+    fn crawl_pooled(
+        client: &Client,
+        domains: &[String],
+        workers: usize,
+        options: &CrawlOptions,
+    ) -> Vec<DomainCrawl> {
+        let outcome = stream_all_supervised(
+            client,
+            domains,
+            workers,
+            options,
+            &SupervisorOptions::default(),
+            || (),
+            |_state: &mut (), crawl: DomainCrawl| crawl,
+            |_state: &mut ()| {},
+            |_letter: &DeadLetter| {},
+        );
+        assert!(
+            outcome.dead_letters.is_empty(),
+            "{:?}",
+            outcome.dead_letters
+        );
+        outcome
+            .results
+            .into_iter()
+            .map(|(_, crawl)| crawl)
+            .collect()
+    }
+
     #[test]
     fn crawls_all_domains_sorted() {
         let (net, mut domains) = make_net(37);
         let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let results = crawl_all(&client, &domains, PoolConfig { workers: 4 });
+        let results = crawl_pooled(&client, &domains, 4, &CrawlOptions::default());
         assert_eq!(results.len(), 37);
         domains.sort();
         let got: Vec<_> = results.iter().map(|r| r.domain.clone()).collect();
@@ -612,8 +389,9 @@ mod tests {
         let (net, domains) = make_net(12);
         let client1 = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
         let client8 = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let a = crawl_all(&client1, &domains, PoolConfig { workers: 1 });
-        let b = crawl_all(&client8, &domains, PoolConfig { workers: 8 });
+        let options = CrawlOptions::default();
+        let a = crawl_pooled(&client1, &domains, 1, &options);
+        let b = crawl_pooled(&client8, &domains, 8, &options);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.domain, y.domain);
@@ -626,21 +404,8 @@ mod tests {
     fn empty_domain_list() {
         let (net, _) = make_net(1);
         let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let results = crawl_all(&client, &[], PoolConfig::default());
+        let results = crawl_pooled(&client, &[], default_workers(), &CrawlOptions::default());
         assert!(results.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "host exploded")]
-    fn worker_panic_propagates_instead_of_truncating_results() {
-        let (net, mut domains) = make_net(6);
-        net.register("boom.com", |_req: &aipan_net::Request| -> Response {
-            panic!("host exploded")
-        });
-        domains.push("boom.com".to_string());
-        let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        // Without propagation this returns 6 quietly-wrong results.
-        crawl_all(&client, &domains, PoolConfig { workers: 3 });
     }
 
     #[test]
@@ -656,8 +421,8 @@ mod tests {
         let client1 = Client::new(net.clone(), FaultInjector::new(5, cfg));
         let client6 = Client::new(net, FaultInjector::new(5, cfg));
         let options = CrawlOptions::default();
-        let a = crawl_all_with(&client1, &domains, PoolConfig { workers: 1 }, &options);
-        let b = crawl_all_with(&client6, &domains, PoolConfig { workers: 6 }, &options);
+        let a = crawl_pooled(&client1, &domains, 1, &options);
+        let b = crawl_pooled(&client6, &domains, 6, &options);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.domain, y.domain);
@@ -675,22 +440,25 @@ mod tests {
         let mut baseline: Option<Vec<(String, usize)>> = None;
         for workers in [1usize, 2, 5, 8] {
             let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
-            let (results, states) = stream_all_with(
+            let outcome = stream_all_supervised(
                 &client,
                 &domains,
-                PoolConfig { workers },
+                workers,
                 &options,
+                &SupervisorOptions::default(),
                 || 0usize,
                 |count: &mut usize, crawl: DomainCrawl| {
                     *count += 1;
                     crawl.pages.len()
                 },
+                |_count: &mut usize| {},
+                |_letter: &DeadLetter| {},
             );
-            assert_eq!(states.len(), workers);
-            assert_eq!(states.iter().sum::<usize>(), domains.len());
+            assert_eq!(outcome.states.len(), workers);
+            assert_eq!(outcome.states.iter().sum::<usize>(), domains.len());
             match &baseline {
-                None => baseline = Some(results),
-                Some(expected) => assert_eq!(&results, expected),
+                None => baseline = Some(outcome.results),
+                Some(expected) => assert_eq!(&outcome.results, expected),
             }
         }
     }
@@ -699,35 +467,19 @@ mod tests {
     fn streaming_empty_domain_list_yields_worker_states() {
         let (net, _) = make_net(1);
         let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let (results, states) = stream_all_with(
+        let outcome = stream_all_supervised(
             &client,
             &[],
-            PoolConfig { workers: 3 },
+            3,
             &CrawlOptions::default(),
+            &SupervisorOptions::default(),
             || 7u32,
             |_state: &mut u32, _crawl: DomainCrawl| (),
+            |_state: &mut u32| {},
+            |_letter: &DeadLetter| {},
         );
-        assert!(results.is_empty());
-        assert_eq!(states, vec![7, 7, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "process exploded")]
-    fn streaming_process_panic_propagates() {
-        let (net, domains) = make_net(6);
-        let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        stream_all_with(
-            &client,
-            &domains,
-            PoolConfig { workers: 3 },
-            &CrawlOptions::default(),
-            || (),
-            |_state: &mut (), crawl: DomainCrawl| {
-                if crawl.domain == "site3.com" {
-                    panic!("process exploded");
-                }
-            },
-        );
+        assert!(outcome.results.is_empty());
+        assert_eq!(outcome.states, vec![7, 7, 7]);
     }
 
     #[test]
@@ -736,17 +488,20 @@ mod tests {
         let (net, mut domains) = make_net(10);
         domains.push("ghost.com".to_string());
         let client = Client::new(net.clone(), FaultInjector::new(0, FaultConfig::none()));
-        let batch = CrawlReport::new(crawl_all(&client, &domains, PoolConfig { workers: 1 }));
-        let (_, funnels) = stream_all_with(
+        let batch = CrawlReport::new(crawl_pooled(&client, &domains, 1, &CrawlOptions::default()));
+        let outcome = stream_all_supervised(
             &client,
             &domains,
-            PoolConfig { workers: 4 },
+            4,
             &CrawlOptions::default(),
+            &SupervisorOptions::default(),
             CrawlFunnel::default,
             |funnel: &mut CrawlFunnel, crawl: DomainCrawl| funnel.absorb(&crawl),
+            |_funnel: &mut CrawlFunnel| {},
+            |_letter: &DeadLetter| {},
         );
         let mut merged = CrawlFunnel::default();
-        for funnel in &funnels {
+        for funnel in &outcome.states {
             merged.merge(funnel);
         }
         assert_eq!(merged, batch.funnel);
@@ -763,7 +518,7 @@ mod tests {
         let outcome = stream_all_supervised(
             &client,
             &domains,
-            PoolConfig { workers: 3 },
+            3,
             &CrawlOptions::default(),
             &SupervisorOptions::default(),
             || 0usize,
@@ -798,7 +553,7 @@ mod tests {
             let outcome = stream_all_supervised(
                 &client,
                 &domains,
-                PoolConfig { workers },
+                workers,
                 &CrawlOptions::default(),
                 &SupervisorOptions::default(),
                 || 0usize,
@@ -841,7 +596,7 @@ mod tests {
             let outcome = stream_all_supervised(
                 &client,
                 &domains,
-                PoolConfig { workers },
+                workers,
                 &CrawlOptions::default(),
                 &SupervisorOptions::default(),
                 || (),
@@ -872,7 +627,7 @@ mod tests {
         let outcome = stream_all_supervised(
             &client,
             &domains,
-            PoolConfig { workers: 4 },
+            4,
             &CrawlOptions::default(),
             &SupervisorOptions {
                 memory_cap_bytes: Some(1),
@@ -931,8 +686,54 @@ mod tests {
         let (net, mut domains) = make_net(3);
         domains.push("ghost.com".to_string());
         let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
-        let results = crawl_all(&client, &domains, PoolConfig { workers: 2 });
+        let results = crawl_pooled(&client, &domains, 2, &CrawlOptions::default());
         let ghost = results.iter().find(|r| r.domain == "ghost.com").unwrap();
         assert!(!ghost.is_success());
+    }
+
+    proptest! {
+        // Exactly-once claiming: whatever the domain and worker counts,
+        // every domain lands once in results ∪ dead letters, each claim is
+        // counted by exactly one worker, and every worker yields its state.
+        #[test]
+        fn cursor_pool_processes_every_domain_exactly_once(
+            n in 0usize..40,
+            workers in 0usize..=9,
+        ) {
+            let (net, mut domains) = make_net(n);
+            net.register("boom.com", |_req: &aipan_net::Request| -> Response {
+                panic!("host exploded")
+            });
+            domains.push("boom.com".to_string());
+            let client = Client::new(net, FaultInjector::new(0, FaultConfig::none()));
+            let outcome = stream_all_supervised(
+                &client,
+                &domains,
+                workers,
+                &CrawlOptions::default(),
+                &SupervisorOptions::default(),
+                || 0usize,
+                |count: &mut usize, crawl: DomainCrawl| {
+                    *count += 1;
+                    crawl.domain
+                },
+                |count: &mut usize| *count += 1,
+                |_letter: &DeadLetter| {},
+            );
+            let mut seen: Vec<&str> = outcome
+                .results
+                .iter()
+                .map(|(domain, _)| domain.as_str())
+                .chain(outcome.dead_letters.iter().map(|l| l.domain.as_str()))
+                .collect();
+            seen.sort_unstable();
+            let mut expected: Vec<&str> = domains.iter().map(String::as_str).collect();
+            expected.sort_unstable();
+            prop_assert_eq!(seen, expected);
+            prop_assert_eq!(outcome.dead_letters.len(), 1);
+            prop_assert!(outcome.results.iter().all(|(domain, echoed)| domain == echoed));
+            prop_assert_eq!(outcome.states.iter().sum::<usize>(), domains.len());
+            prop_assert_eq!(outcome.states.len(), workers.max(1));
+        }
     }
 }

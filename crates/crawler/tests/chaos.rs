@@ -4,7 +4,10 @@
 //! byte-identical results regardless of worker count. A deterministic
 //! breaker-bound scenario rides along.
 
-use aipan_crawler::{crawl_all_with, crawl_domain_with, CrawlOptions, DomainCrawl, PoolConfig};
+use aipan_crawler::{
+    crawl_domain_with, stream_all_supervised, CrawlOptions, DeadLetter, DomainCrawl,
+    SupervisorOptions,
+};
 use aipan_net::fault::{FaultConfig, FaultInjector};
 use aipan_net::host::StaticSite;
 use aipan_net::http::Response;
@@ -31,6 +34,38 @@ fn make_net(n: usize) -> (Internet, Vec<String>) {
         domains.push(domain);
     }
     (net, domains)
+}
+
+/// Crawl every domain on the supervised pool with a pass-through
+/// `process`: the crawls come back sorted by domain, and none may be
+/// dead-lettered.
+fn crawl_pooled(
+    client: &Client,
+    domains: &[String],
+    workers: usize,
+    options: &CrawlOptions,
+) -> Vec<DomainCrawl> {
+    let outcome = stream_all_supervised(
+        client,
+        domains,
+        workers,
+        options,
+        &SupervisorOptions::default(),
+        || (),
+        |_state: &mut (), crawl: DomainCrawl| crawl,
+        |_state: &mut ()| {},
+        |_letter: &DeadLetter| {},
+    );
+    assert!(
+        outcome.dead_letters.is_empty(),
+        "{:?}",
+        outcome.dead_letters
+    );
+    outcome
+        .results
+        .into_iter()
+        .map(|(_, crawl)| crawl)
+        .collect()
 }
 
 /// Fault config from integer percentages (the vendored proptest has no
@@ -116,7 +151,7 @@ proptest! {
         let options = options_from(retry, session_seed);
         let (net, domains) = make_net(8);
         let client = Client::new(net, FaultInjector::new(fault_seed, faults));
-        let crawls = crawl_all_with(&client, &domains, PoolConfig { workers }, &options);
+        let crawls = crawl_pooled(&client, &domains, workers, &options);
         prop_assert_eq!(crawls.len(), domains.len());
         let m = client.metrics();
         prop_assert!(m.is_conserved(), "unbalanced transport counters: {:?}", m);
@@ -138,8 +173,8 @@ proptest! {
         let (net, domains) = make_net(10);
         let client_a = Client::new(net.clone(), FaultInjector::new(fault_seed, faults));
         let client_b = Client::new(net, FaultInjector::new(fault_seed, faults));
-        let a = crawl_all_with(&client_a, &domains, PoolConfig { workers: workers_a }, &options);
-        let b = crawl_all_with(&client_b, &domains, PoolConfig { workers: workers_b }, &options);
+        let a = crawl_pooled(&client_a, &domains, workers_a, &options);
+        let b = crawl_pooled(&client_b, &domains, workers_b, &options);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
         prop_assert_eq!(client_a.metrics(), client_b.metrics());
     }
@@ -159,9 +194,9 @@ proptest! {
             ..CrawlOptions::default()
         };
         let client = Client::new(net.clone(), FaultInjector::new(fault_seed, faults));
-        let a = crawl_all_with(&client, &domains, PoolConfig { workers: 2 }, &options);
+        let a = crawl_pooled(&client, &domains, 2, &options);
         let client2 = Client::new(net, FaultInjector::new(fault_seed, faults));
-        let b = crawl_all_with(&client2, &domains, PoolConfig { workers: 4 }, &options);
+        let b = crawl_pooled(&client2, &domains, 4, &options);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 }

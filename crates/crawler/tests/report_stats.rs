@@ -4,13 +4,46 @@
 //! worker pool at any size is indistinguishable from a serial crawl.
 
 use aipan_crawler::{
-    crawl_all, crawl_all_with, crawl_domain_with, CrawlOptions, CrawlReport, PoolConfig,
+    crawl_domain_with, default_workers, stream_all_supervised, CrawlOptions, CrawlReport,
+    DeadLetter, DomainCrawl, SupervisorOptions,
 };
 use aipan_net::fault::{FaultConfig, FaultInjector};
 use aipan_net::Client;
 use aipan_webgen::{build_world, WorldConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// Crawl every domain on the supervised pool with a pass-through
+/// `process`: the crawls come back sorted by domain, and none may be
+/// dead-lettered.
+fn crawl_pooled(
+    client: &Client,
+    domains: &[String],
+    workers: usize,
+    options: &CrawlOptions,
+) -> Vec<DomainCrawl> {
+    let outcome = stream_all_supervised(
+        client,
+        domains,
+        workers,
+        options,
+        &SupervisorOptions::default(),
+        || (),
+        |_state: &mut (), crawl: DomainCrawl| crawl,
+        |_state: &mut ()| {},
+        |_letter: &DeadLetter| {},
+    );
+    assert!(
+        outcome.dead_letters.is_empty(),
+        "{:?}",
+        outcome.dead_letters
+    );
+    outcome
+        .results
+        .into_iter()
+        .map(|(_, crawl)| crawl)
+        .collect()
+}
 
 #[test]
 fn report_stats_agree_with_per_domain_crawls() {
@@ -30,7 +63,12 @@ fn report_stats_agree_with_per_domain_crawls() {
         .map(|c| c.domain.clone())
         .collect();
     let domains: Vec<String> = domains.into_iter().collect();
-    let crawls = crawl_all(&client, &domains, PoolConfig::default());
+    let crawls = crawl_pooled(
+        &client,
+        &domains,
+        default_workers(),
+        &CrawlOptions::default(),
+    );
     let report = CrawlReport::new(crawls);
 
     assert_eq!(report.funnel.domains_total, domains.len());
@@ -78,10 +116,10 @@ fn transient_faults_reconcile_with_funnel_accounting() {
             .collect();
         set.into_iter().collect()
     };
-    let crawls = crawl_all_with(
+    let crawls = crawl_pooled(
         &client,
         &domains,
-        PoolConfig::default(),
+        default_workers(),
         &CrawlOptions::default(),
     );
     let report = CrawlReport::new(crawls);
@@ -107,10 +145,10 @@ fn transient_faults_reconcile_with_funnel_accounting() {
         world.internet.clone(),
         FaultInjector::new(world.config.seed, FaultConfig::default()),
     );
-    let baseline = CrawlReport::new(crawl_all_with(
+    let baseline = CrawlReport::new(crawl_pooled(
         &baseline_client,
         &domains,
-        PoolConfig::default(),
+        default_workers(),
         &CrawlOptions::default(),
     ));
     assert_eq!(report.funnel.crawl_success, baseline.funnel.crawl_success);
@@ -121,10 +159,10 @@ fn transient_faults_reconcile_with_funnel_accounting() {
         world.internet.clone(),
         FaultInjector::new(world.config.seed, world.config.faults),
     );
-    let no_retry = CrawlReport::new(crawl_all_with(
+    let no_retry = CrawlReport::new(crawl_pooled(
         &no_retry_client,
         &domains,
-        PoolConfig::default(),
+        default_workers(),
         &CrawlOptions::no_retry(),
     ));
     assert!(
@@ -137,8 +175,8 @@ fn transient_faults_reconcile_with_funnel_accounting() {
 
 proptest! {
     // The worker pool is an implementation detail: for any worker count
-    // and fault seed, crawl_all over the pool equals crawling every domain
-    // serially with the same options.
+    // and fault seed, a pass-through crawl over the pool equals crawling
+    // every domain serially with the same options.
     #[test]
     fn pool_crawl_equals_serial_crawl(
         workers in 1usize..=8,
@@ -176,7 +214,7 @@ proptest! {
             world.internet.clone(),
             FaultInjector::new(fault_seed, faults),
         );
-        let pooled = crawl_all_with(&pooled_client, &domains, PoolConfig { workers }, &options);
+        let pooled = crawl_pooled(&pooled_client, &domains, workers, &options);
 
         let serial_client = Client::new(
             world.internet.clone(),

@@ -143,7 +143,7 @@ pub const RULES: &[RuleDoc] = &[
         severity: Severity::Warn,
         summary: "growable collection built element-by-element inside a hot loop",
         rationale: "The interprocedural cost model marks every fn reachable from a \
-                    pipeline entry (run_pipeline*, crawl_all*, the annotate surface) as \
+                    pipeline entry (run_pipeline*, the annotate surface) as \
                     hot. A `Vec::new()`/`String::new()` grown one `push` at a time inside \
                     a loop there reallocates O(log n) times per iteration set; each \
                     finding carries the entry->fn witness path. Pre-size with \

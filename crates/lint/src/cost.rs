@@ -16,9 +16,9 @@
 //! All arithmetic saturates; totals are rankings, not microseconds.
 //!
 //! **Hot set.** Fns forward-reachable from the pipeline entry points —
-//! `run_pipeline*`, `crawl_all`/`crawl_all_with`, and the pub surface of
-//! `annotate.rs` — carry a parent pointer back to their entry, so every
-//! finding cites a witness call path like `X1`'s.
+//! `run_pipeline*` and the pub surface of `annotate.rs` — carry a parent
+//! pointer back to their entry, so every finding cites a witness call path
+//! like `X1`'s.
 //!
 //! **`H2` allocation-in-hot-loop** (Warn): a container bound with
 //! `Vec::new()`/`String::new()` in a hot fn that grows inside a loop —
@@ -410,10 +410,7 @@ pub struct CostModel {
 /// Whether a fn is one of the pipeline entry points the hot set grows
 /// from.
 fn is_entry(ws: &Workspace, node: &FnNode<'_>) -> bool {
-    if node.name.starts_with("run_pipeline")
-        || node.name == "crawl_all"
-        || node.name == "crawl_all_with"
-    {
+    if node.name.starts_with("run_pipeline") {
         return true;
     }
     node.is_pub

@@ -287,25 +287,20 @@ mod tests {
     }
 
     #[test]
-    fn hotpaths_ranks_annotate_reachable_chains_above_crawl_only() {
+    fn hotpaths_ranks_run_pipeline_chain_through_the_supervised_pool() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).unwrap();
         let report = hotpaths(&root, 10).expect("hotpath report builds");
-        // `run_pipeline` reaches both the crawl and annotate layers, so its
-        // chain must outrank the crawl-only `crawl_all` entry, and the
-        // annotate surface itself must appear among the ranked entries.
-        let lines: Vec<&str> = report.lines().collect();
-        let pipeline_rank = lines
-            .iter()
-            .position(|l| l.contains(". run_pipeline (cost"))
+        // `run_pipeline` drives every domain through the one worker pool,
+        // so the pool must sit on its ranked chain, and the annotate
+        // surface itself must appear among the ranked entries.
+        let chain = report
+            .lines()
+            .find(|l| l.contains(". run_pipeline (cost"))
             .expect("run_pipeline ranked");
-        let crawl_rank = lines
-            .iter()
-            .position(|l| l.contains(". crawl_all (cost"))
-            .expect("crawl_all ranked");
         assert!(
-            pipeline_rank < crawl_rank,
-            "annotate-reachable chain must outrank crawl-only chain:\n{report}"
+            chain.contains("-> stream_all_supervised (cost"),
+            "run_pipeline chain must run through the supervised pool:\n{report}"
         );
         assert!(report.contains("annotate_policy_with"), "{report}");
     }

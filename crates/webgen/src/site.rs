@@ -240,11 +240,6 @@ impl World {
         h
     }
 
-    /// Whether this world generates sites lazily (see [`build_world_lazy`]).
-    pub fn is_lazy(&self) -> bool {
-        !self.lazy_hosts.is_empty()
-    }
-
     /// Release `domain`'s materialized site, if this world is lazy and the
     /// site has been built. The next fetch re-materializes it from the same
     /// keyed RNG, byte-identical. No-op for eager worlds.
@@ -999,7 +994,7 @@ mod tests {
     fn lazy_world_serves_byte_identical_pages() {
         let eager = build_world(WorldConfig::small(17, 200));
         let lazy = build_world_lazy(WorldConfig::small(17, 200));
-        assert!(lazy.is_lazy() && !eager.is_lazy());
+        assert!(!lazy.lazy_hosts.is_empty() && eager.lazy_hosts.is_empty());
         assert_eq!(eager.fates, lazy.fates);
         assert_eq!(eager.truths, lazy.truths);
         assert_eq!(eager.policy_paths, lazy.policy_paths);

@@ -48,7 +48,7 @@ fn main() {
         seed: 42,
         ..Default::default()
     });
-    let Some(policy) = pipeline.process_domain(&crawl, company.sector) else {
+    let Some(policy) = pipeline.process_domain_full(&crawl, company.sector).policy else {
         println!(
             "no extractable policy for {domain} (fate: {:?})",
             world.fate(&domain)

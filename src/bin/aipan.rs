@@ -256,7 +256,7 @@ fn cmd_audit(args: &Args) {
         ..Default::default()
     });
     let sector = world.company(domain).expect("checked").sector;
-    match pipeline.process_domain(&crawl, sector) {
+    match pipeline.process_domain_full(&crawl, sector).policy {
         Some(policy) => {
             println!(
                 "policy at {} ({} words): {} annotations, fallbacks {:?}",
