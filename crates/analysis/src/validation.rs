@@ -484,7 +484,7 @@ impl ModelComparison {
             docs.push((domain.clone(), input));
         }
 
-        let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
         let mut results = Vec::new();
         for profile in profiles {
             let bot = SimulatedChatbot::new(profile.clone(), seed);
@@ -495,7 +495,7 @@ impl ModelComparison {
                 let Some(truth) = world.truth(domain) else {
                     continue;
                 };
-                let rows = protocol::parse_extractions(&bot.complete(&prompt, input));
+                let rows = protocol::parse_extractions(&bot.complete(prompt, input));
                 for (_, text) in rows {
                     extracted += 1;
                     let folded = fold(&text);

@@ -50,9 +50,9 @@ fn bench_chatbot_tasks(c: &mut Criterion) {
         TaskKind::AnnotateRights,
         TaskKind::SegmentText,
     ] {
-        let prompt = TaskPrompt::build(kind);
+        let prompt = TaskPrompt::of(kind);
         group.bench_function(kind.name(), |b| {
-            b.iter(|| bot.complete(black_box(&prompt), black_box(&input)))
+            b.iter(|| bot.complete(black_box(prompt), black_box(&input)))
         });
     }
     group.finish();
@@ -113,7 +113,7 @@ fn bench_model_profiles(c: &mut Criterion) {
     let html = fixture_policy_html();
     let doc = aipan_html::extract(&html);
     let input = protocol::number_lines(doc.lines.iter().map(|l| l.text.as_str()));
-    let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+    let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
     let mut group = c.benchmark_group("models_extract");
     for profile in [
         ModelProfile::gpt4_turbo(),
@@ -122,7 +122,7 @@ fn bench_model_profiles(c: &mut Criterion) {
     ] {
         let bot = SimulatedChatbot::new(profile.clone(), 7);
         group.bench_function(profile.id.as_str(), |b| {
-            b.iter(|| bot.complete(black_box(&prompt), black_box(&input)))
+            b.iter(|| bot.complete(black_box(prompt), black_box(&input)))
         });
     }
     group.finish();

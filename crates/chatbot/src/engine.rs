@@ -17,9 +17,9 @@ use crate::{protocol, Chatbot};
 /// use aipan_chatbot::{protocol, Chatbot, ModelProfile, SimulatedChatbot};
 ///
 /// let bot = SimulatedChatbot::new(ModelProfile::oracle(), 7);
-/// let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+/// let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
 /// let input = protocol::number_lines(["We collect your email address."]);
-/// let rows = protocol::parse_extractions(&bot.complete(&prompt, &input));
+/// let rows = protocol::parse_extractions(&bot.complete(prompt, &input));
 /// assert_eq!(rows, vec![(1, "email address".to_string())]);
 /// ```
 #[derive(Clone)]
@@ -162,9 +162,9 @@ mod tests {
     #[test]
     fn completes_extraction_task_via_trait() {
         let bot = SimulatedChatbot::new(ModelProfile::oracle(), 1);
-        let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
         let input = number_lines(["We collect your email address."]);
-        let output = bot.complete(&prompt, &input);
+        let output = bot.complete(prompt, &input);
         let rows = parse_extractions(&output);
         assert_eq!(rows, vec![(1, "email address".to_string())]);
     }
@@ -173,8 +173,8 @@ mod tests {
     fn usage_accounted_per_task() {
         let bot = SimulatedChatbot::gpt4(2);
         let input = number_lines(["We collect your name."]);
-        bot.complete(&TaskPrompt::build(TaskKind::ExtractDataTypes), &input);
-        bot.complete(&TaskPrompt::build(TaskKind::AnnotateRights), &input);
+        bot.complete(TaskPrompt::of(TaskKind::ExtractDataTypes), &input);
+        bot.complete(TaskPrompt::of(TaskKind::AnnotateRights), &input);
         let usage = bot.usage();
         assert_eq!(usage.calls, 2);
         assert!(usage.prompt_tokens > 0);
@@ -185,11 +185,11 @@ mod tests {
     #[test]
     fn gpt35_sometimes_returns_malformed_output() {
         let bot = SimulatedChatbot::new(ModelProfile::gpt35_turbo(), 3);
-        let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
         let mut malformed = 0;
         for i in 0..200 {
             let input = number_lines([format!("We collect your name, case {i}.").as_str()]);
-            let out = bot.complete(&prompt, &input);
+            let out = bot.complete(prompt, &input);
             if serde_json::from_str::<serde_json::Value>(&out).is_err() {
                 malformed += 1;
             }
@@ -207,16 +207,16 @@ mod tests {
         profile.truncation_rate = 0.3;
         profile.instruction_following = 0.7;
         let bot = SimulatedChatbot::new(profile, 11);
-        let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
         let mut failed_then_recovered = 0;
         for i in 0..60 {
             let input = number_lines([format!("We collect your email, case {i}.").as_str()]);
-            let first = bot.complete_attempt(&prompt, &input, 0);
+            let first = bot.complete_attempt(prompt, &input, 0);
             if crate::protocol::is_well_formed(&first) {
                 continue;
             }
             if (1..4)
-                .any(|a| crate::protocol::is_well_formed(&bot.complete_attempt(&prompt, &input, a)))
+                .any(|a| crate::protocol::is_well_formed(&bot.complete_attempt(prompt, &input, a)))
             {
                 failed_then_recovered += 1;
             }
@@ -232,19 +232,19 @@ mod tests {
         let mut profile = ModelProfile::oracle();
         profile.refusal_rate = 1.0;
         let bot = SimulatedChatbot::new(profile, 5);
-        let prompt = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let prompt = TaskPrompt::of(TaskKind::ExtractDataTypes);
         let input = number_lines(["We collect your name."]);
-        let out = bot.complete(&prompt, &input);
+        let out = bot.complete(prompt, &input);
         assert!(out.starts_with("I cannot assist"));
         assert!(!crate::protocol::is_well_formed(&out));
-        assert_eq!(out, bot.complete(&prompt, &input));
+        assert_eq!(out, bot.complete(prompt, &input));
 
         let mut profile = ModelProfile::oracle();
         profile.truncation_rate = 1.0;
         let bot = SimulatedChatbot::new(profile, 5);
         let full_bot = SimulatedChatbot::new(ModelProfile::oracle(), 5);
-        let full = full_bot.complete(&prompt, &input);
-        let cut = bot.complete(&prompt, &input);
+        let full = full_bot.complete(prompt, &input);
+        let cut = bot.complete(prompt, &input);
         assert!(cut.len() < full.len(), "cut={cut:?} full={full:?}");
         assert!(full.starts_with(&cut), "truncation must be a prefix");
         assert!(!crate::protocol::is_well_formed(&cut));
@@ -255,7 +255,7 @@ mod tests {
         let bot = SimulatedChatbot::gpt4(4);
         let clone = bot.clone();
         clone.complete(
-            &TaskPrompt::build(TaskKind::ExtractDataTypes),
+            TaskPrompt::of(TaskKind::ExtractDataTypes),
             &number_lines(["We collect your name."]),
         );
         assert_eq!(bot.usage().calls, 1);
@@ -265,8 +265,8 @@ mod tests {
     fn deterministic_completions() {
         let a = SimulatedChatbot::gpt4(5);
         let b = SimulatedChatbot::gpt4(5);
-        let prompt = TaskPrompt::build(TaskKind::AnnotateHandling);
+        let prompt = TaskPrompt::of(TaskKind::AnnotateHandling);
         let input = number_lines(["We retain your data for two (2) years."]);
-        assert_eq!(a.complete(&prompt, &input), b.complete(&prompt, &input));
+        assert_eq!(a.complete(prompt, &input), b.complete(prompt, &input));
     }
 }

@@ -9,6 +9,7 @@
 
 use aipan_taxonomy::glossary;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The seven chatbot tasks of §3.2 and Appendix B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -65,8 +66,26 @@ pub struct TaskPrompt {
 }
 
 impl TaskPrompt {
-    /// Build the prompt for `kind` with the standard glossaries attached.
-    pub fn build(kind: TaskKind) -> TaskPrompt {
+    /// The prompt for `kind` with the standard glossaries attached. Each
+    /// prompt is rendered once per process and shared: the text depends
+    /// only on `kind` and the static taxonomy.
+    pub fn of(kind: TaskKind) -> &'static TaskPrompt {
+        static PROMPTS: [OnceLock<TaskPrompt>; TaskKind::ALL.len()] =
+            [const { OnceLock::new() }; TaskKind::ALL.len()];
+        let [label, segment, extract, normalize, purposes, handling, rights] = &PROMPTS;
+        let cell = match kind {
+            TaskKind::LabelHeadings => label,
+            TaskKind::SegmentText => segment,
+            TaskKind::ExtractDataTypes => extract,
+            TaskKind::NormalizeDataTypes => normalize,
+            TaskKind::AnnotatePurposes => purposes,
+            TaskKind::AnnotateHandling => handling,
+            TaskKind::AnnotateRights => rights,
+        };
+        cell.get_or_init(|| TaskPrompt::render(kind))
+    }
+
+    fn render(kind: TaskKind) -> TaskPrompt {
         let text = match kind {
             TaskKind::LabelHeadings => label_headings_prompt(),
             TaskKind::SegmentText => segment_text_prompt(),
@@ -247,7 +266,7 @@ mod tests {
     #[test]
     fn all_prompts_render_nonempty() {
         for kind in TaskKind::ALL {
-            let p = TaskPrompt::build(kind);
+            let p = TaskPrompt::of(kind);
             assert_eq!(p.kind, kind);
             assert!(p.text.len() > 200, "{kind:?} prompt too short");
             assert!(p.text.contains("data privacy expert"));
@@ -257,25 +276,33 @@ mod tests {
 
     #[test]
     fn extraction_prompt_contains_negation_instruction() {
-        let p = TaskPrompt::build(TaskKind::ExtractDataTypes);
+        let p = TaskPrompt::of(TaskKind::ExtractDataTypes);
         assert!(p.text.contains("negated contexts"));
         assert!(p.text.contains("we do not collect"));
     }
 
     #[test]
     fn glossaries_attached() {
-        assert!(TaskPrompt::build(TaskKind::ExtractDataTypes)
+        assert!(TaskPrompt::of(TaskKind::ExtractDataTypes)
             .text
             .contains("email address"));
-        assert!(TaskPrompt::build(TaskKind::NormalizeDataTypes)
+        assert!(TaskPrompt::of(TaskKind::NormalizeDataTypes)
             .text
             .contains("postal address"));
-        assert!(TaskPrompt::build(TaskKind::AnnotatePurposes)
+        assert!(TaskPrompt::of(TaskKind::AnnotatePurposes)
             .text
             .contains("fraud prevention"));
-        assert!(TaskPrompt::build(TaskKind::LabelHeadings)
+        assert!(TaskPrompt::of(TaskKind::LabelHeadings)
             .text
             .contains("Information we collect"));
+    }
+
+    #[test]
+    fn prompts_rendered_once_per_task() {
+        for kind in TaskKind::ALL {
+            assert!(std::ptr::eq(TaskPrompt::of(kind), TaskPrompt::of(kind)));
+            assert_eq!(*TaskPrompt::of(kind), TaskPrompt::render(kind));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use aipan_taxonomy::Aspect;
 use serde_json::Value;
+use std::fmt::Write;
 
 /// Render lines as a numbered-line document (1-based).
 pub fn number_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> String {
@@ -26,7 +27,7 @@ pub fn number_lines_into<'a>(out: &mut String, lines: impl IntoIterator<Item = &
     // a reused buffer that is already large enough.
     out.reserve(lines.size_hint().0.saturating_mul(48));
     for (i, line) in lines.enumerate() {
-        out.push_str(&format!("[{}] {}\n", i + 1, line));
+        let _ = writeln!(out, "[{}] {}", i + 1, line);
     }
 }
 
@@ -37,7 +38,7 @@ pub fn number_lines_with<'a>(lines: impl IntoIterator<Item = (usize, &'a str)>) 
     let lines = lines.into_iter();
     let mut out = String::with_capacity(lines.size_hint().0.saturating_mul(48));
     for (n, line) in lines {
-        out.push_str(&format!("[{n}] {line}\n"));
+        let _ = writeln!(out, "[{n}] {line}");
     }
     out
 }
@@ -71,7 +72,7 @@ pub fn encode_labels(rows: &[LabelRow]) -> String {
 
 /// Parse label rows; malformed rows are skipped.
 pub fn parse_labels(output: &str) -> Vec<LabelRow> {
-    parse_rows(output, |row| {
+    try_parse_rows(output, |row| {
         let n = row.first()?.as_u64()? as usize;
         let aspects = row
             .get(1)?
@@ -81,6 +82,7 @@ pub fn parse_labels(output: &str) -> Vec<LabelRow> {
             .collect::<Vec<_>>();
         Some((n, aspects))
     })
+    .unwrap_or_default()
 }
 
 /// Encode extraction rows (`[[4, "email address"], …]`).
@@ -94,7 +96,13 @@ pub fn encode_extractions(rows: &[ExtractRow]) -> String {
 
 /// Parse extraction rows.
 pub fn parse_extractions(output: &str) -> Vec<ExtractRow> {
-    parse_rows(output, |row| {
+    try_parse_extractions(output).unwrap_or_default()
+}
+
+/// [`parse_extractions`], but `None` when the completion is not
+/// [well-formed](is_well_formed): one decode answers both questions.
+pub fn try_parse_extractions(output: &str) -> Option<Vec<ExtractRow>> {
+    try_parse_rows(output, |row| {
         let n = row.first()?.as_u64()? as usize;
         let text = row.get(1)?.as_str()?.to_string();
         Some((n, text))
@@ -118,7 +126,13 @@ pub fn encode_normalizations(rows: &[NormalizeRow]) -> String {
 
 /// Parse normalization rows.
 pub fn parse_normalizations(output: &str) -> Vec<NormalizeRow> {
-    parse_rows(output, |row| {
+    try_parse_normalizations(output).unwrap_or_default()
+}
+
+/// [`parse_normalizations`], but `None` when the completion is not
+/// [well-formed](is_well_formed): one decode answers both questions.
+pub fn try_parse_normalizations(output: &str) -> Option<Vec<NormalizeRow>> {
+    try_parse_rows(output, |row| {
         Some((
             row.first()?.as_u64()? as usize,
             row.get(1)?.as_str()?.to_string(),
@@ -145,7 +159,13 @@ pub fn encode_purposes(rows: &[PurposeRow]) -> String {
 
 /// Parse purpose rows.
 pub fn parse_purposes(output: &str) -> Vec<PurposeRow> {
-    parse_rows(output, |row| {
+    try_parse_purposes(output).unwrap_or_default()
+}
+
+/// [`parse_purposes`], but `None` when the completion is not
+/// [well-formed](is_well_formed): one decode answers both questions.
+pub fn try_parse_purposes(output: &str) -> Option<Vec<PurposeRow>> {
+    try_parse_rows(output, |row| {
         Some((
             row.first()?.as_u64()? as usize,
             row.get(1)?.as_str()?.to_string(),
@@ -173,7 +193,13 @@ pub fn encode_handling(rows: &[HandlingRow]) -> String {
 
 /// Parse handling rows.
 pub fn parse_handling(output: &str) -> Vec<HandlingRow> {
-    parse_rows(output, |row| {
+    try_parse_handling(output).unwrap_or_default()
+}
+
+/// [`parse_handling`], but `None` when the completion is not
+/// [well-formed](is_well_formed): one decode answers both questions.
+pub fn try_parse_handling(output: &str) -> Option<Vec<HandlingRow>> {
+    try_parse_rows(output, |row| {
         Some((
             row.first()?.as_u64()? as usize,
             row.get(1)?.as_str()?.to_string(),
@@ -200,7 +226,13 @@ pub fn encode_rights(rows: &[RightsRow]) -> String {
 
 /// Parse rights rows.
 pub fn parse_rights(output: &str) -> Vec<RightsRow> {
-    parse_rows(output, |row| {
+    try_parse_rights(output).unwrap_or_default()
+}
+
+/// [`parse_rights`], but `None` when the completion is not
+/// [well-formed](is_well_formed): one decode answers both questions.
+pub fn try_parse_rights(output: &str) -> Option<Vec<RightsRow>> {
+    try_parse_rows(output, |row| {
         Some((
             row.first()?.as_u64()? as usize,
             row.get(1)?.as_str()?.to_string(),
@@ -214,29 +246,27 @@ pub fn parse_rights(output: &str) -> Vec<RightsRow> {
 /// refusals, malformed prefixes, and truncated completions, which a
 /// bounded re-prompt loop should retry.
 pub fn is_well_formed(output: &str) -> bool {
-    matches!(
-        serde_json::from_str::<Value>(output.trim()),
-        Ok(Value::Array(_))
-    )
+    try_parse_rows(output, |_| Some(())).is_some()
 }
 
-/// Shared tolerant parser: top-level array of arrays; rows that fail `f`
-/// are dropped. Non-JSON output yields an empty vec.
-fn parse_rows<T>(output: &str, f: impl Fn(&[Value]) -> Option<T>) -> Vec<T> {
-    let Ok(value) = serde_json::from_str::<Value>(output.trim()) else {
-        return Vec::new();
+/// Shared tolerant parser, one JSON decode per completion: `None` when
+/// `output` is not [well-formed](is_well_formed), else the rows of its
+/// top-level array that `f` accepts (rows failing `f` are dropped).
+fn try_parse_rows<T>(output: &str, f: impl Fn(&[Value]) -> Option<T>) -> Option<Vec<T>> {
+    let Ok(Value::Array(rows)) = serde_json::from_str::<Value>(output.trim()) else {
+        return None;
     };
-    let Some(rows) = value.as_array() else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter_map(|row| row.as_array().and_then(|r| f(r)))
-        .collect()
+    Some(
+        rows.iter()
+            .filter_map(|row| row.as_array().and_then(|r| f(r)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn number_lines_formats() {
@@ -324,6 +354,96 @@ mod tests {
         let mixed = "[[1, \"ok\"], [\"bad\"], 42, [2, \"also ok\"]]";
         let parsed = parse_extractions(mixed);
         assert_eq!(parsed.len(), 2);
+    }
+
+    /// Text exercising every decoder path: multibyte UTF-8, characters the
+    /// encoder escapes (`"`, `\`, newline, tab, other controls as
+    /// `\u00XX`), and a supplementary-plane char.
+    const TRICKY: &str = "é 中文 😀 \"quoted\" back\\slash\nline\ttab\u{1}\u{1f}";
+
+    #[test]
+    fn tricky_text_roundtrips_through_every_row_kind() {
+        let t = || TRICKY.to_string();
+        let ex = vec![(1, t()), (2, "plain".to_string())];
+        assert_eq!(parse_extractions(&encode_extractions(&ex)), ex);
+        let norm = vec![(1, t(), t())];
+        assert_eq!(parse_normalizations(&encode_normalizations(&norm)), norm);
+        let purposes = vec![(3, t(), t(), t())];
+        assert_eq!(parse_purposes(&encode_purposes(&purposes)), purposes);
+        let handling = vec![(4, t(), t(), Some(t())), (5, t(), t(), None)];
+        assert_eq!(parse_handling(&encode_handling(&handling)), handling);
+        let rights = vec![(6, t(), t())];
+        assert_eq!(parse_rights(&encode_rights(&rights)), rights);
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode() {
+        let rows = parse_extractions(r#"[[1, "smile \ud83d\ude00 caf\u00e9 \u4e2d"]]"#);
+        assert_eq!(rows, vec![(1, "smile 😀 café 中".to_string())]);
+        // A lone high surrogate makes the whole completion malformed.
+        assert!(!is_well_formed(r#"[[1, "\ud83d"]]"#));
+        assert!(try_parse_extractions(r#"[[1, "\ud83d"]]"#).is_none());
+    }
+
+    #[test]
+    fn truncation_inside_multibyte_string_is_malformed() {
+        let full = encode_extractions(&[(1, TRICKY.to_string()), (2, "中文 😀".to_string())]);
+        let start = full.find('中').unwrap();
+        let end = full.rfind('😀').unwrap() + '😀'.len_utf8();
+        let cuts = (start..end).filter(|&i| full.is_char_boundary(i));
+        for cut in cuts {
+            let prefix = &full[..cut];
+            assert!(!is_well_formed(prefix), "{prefix:?}");
+            assert!(parse_extractions(prefix).is_empty(), "{prefix:?}");
+            assert!(try_parse_extractions(prefix).is_none(), "{prefix:?}");
+        }
+    }
+
+    #[test]
+    fn try_parse_separates_malformed_from_empty() {
+        assert_eq!(try_parse_rights("[]"), Some(Vec::new()));
+        assert_eq!(try_parse_rights(" [[1, 2]] "), Some(Vec::new()));
+        assert_eq!(try_parse_rights("{\"a\": 1}"), None);
+        assert_eq!(try_parse_purposes("I cannot assist with this."), None);
+        assert_eq!(try_parse_handling("[[1, \"ok\", \"Stated\"]"), None);
+        assert_eq!(
+            try_parse_normalizations("[[1, \"a\", \"b\"], 7]"),
+            Some(vec![(1, "a".to_string(), "b".to_string())])
+        );
+    }
+
+    /// Row text over ASCII letters plus every decoder-relevant class:
+    /// multibyte chars, `"`, `\`, and all C0 controls (newline and tab
+    /// included).
+    const TEXT: &str = "[a-z é中文😀\"\\\\\u{1}-\u{1f}]{0,12}";
+
+    proptest! {
+        #[test]
+        fn extractions_roundtrip_any_text(
+            rows in proptest::collection::vec((0usize..1000, TEXT), 0..6)
+        ) {
+            prop_assert_eq!(parse_extractions(&encode_extractions(&rows)), rows);
+        }
+
+        #[test]
+        fn three_field_rows_roundtrip_any_text(
+            rows in proptest::collection::vec((0usize..1000, TEXT, TEXT), 0..6)
+        ) {
+            prop_assert_eq!(parse_rights(&encode_rights(&rows)), rows.clone());
+            prop_assert_eq!(parse_normalizations(&encode_normalizations(&rows)), rows);
+        }
+
+        #[test]
+        fn four_field_rows_roundtrip_any_text(
+            rows in proptest::collection::vec((0usize..1000, TEXT, TEXT, TEXT), 0..6)
+        ) {
+            prop_assert_eq!(parse_purposes(&encode_purposes(&rows)), rows.clone());
+            let handling: Vec<HandlingRow> = rows
+                .into_iter()
+                .map(|(n, t, l, p)| (n, t, l, (n % 2 == 0).then_some(p)))
+                .collect();
+            prop_assert_eq!(parse_handling(&encode_handling(&handling)), handling);
+        }
     }
 
     #[test]

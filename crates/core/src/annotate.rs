@@ -122,46 +122,79 @@ pub fn annotate_policy_in(
 ) -> AnnotationOutcome {
     // Rough upper bound: a handful of annotations per document line.
     let mut annotations = Vec::with_capacity(doc.lines.len());
-    let mut fallbacks = Vec::new();
-    let mut reprompts = 0usize;
 
     protocol::number_lines_into(
         &mut arena.full_text,
         doc.lines.iter().map(|l| l.text.as_str()),
     );
-    let full_text_input: &str = &arena.full_text;
-    // Fold the policy exactly once; every verbatim-presence check below is
-    // a batched automaton scan over this buffer (no per-row fold).
-    let folded_policy =
-        FoldedDoc::from_lines_in(&mut arena.fold, doc.lines.iter().map(|l| l.text.as_str()));
 
-    // --- Data types: extract (section → fallback), then normalize. ---
-    let (mut rows, used_fallback) = extract_with_fallback(
+    // --- Extract all four aspects (section → fallback). ---
+    let mut ex = Extractor {
         chatbot,
+        full_text_input: &arena.full_text,
+        options,
+        reprompts: 0,
+        fallbacks: Vec::new(),
+    };
+    let type_rows = ex.extract(
         TaskKind::ExtractDataTypes,
         seg.text_for(Aspect::Types, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
-        protocol::parse_extractions,
+        AspectKind::Types,
+        protocol::try_parse_extractions,
     );
-    if used_fallback {
-        fallbacks.push(AspectKind::Types);
-    }
-    // Verify verbatim presence before normalization (the paper's
-    // hallucination check).
-    let before = rows.len();
-    if options.verify {
-        let present = folded_policy.verify_batch(rows.iter().map(|(_, text)| text.as_str()));
-        let mut idx = 0;
-        rows.retain(|_| {
-            let keep = present.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            keep
-        });
-    }
-    let mut hallucinations_removed = before - rows.len();
+    let purpose_rows = ex.extract(
+        TaskKind::AnnotatePurposes,
+        seg.text_for(Aspect::Purposes, doc),
+        AspectKind::Purposes,
+        protocol::try_parse_purposes,
+    );
+    let handling_rows = ex.extract(
+        TaskKind::AnnotateHandling,
+        seg.text_for(Aspect::Handling, doc),
+        AspectKind::Handling,
+        protocol::try_parse_handling,
+    );
+    let rights_rows = ex.extract(
+        TaskKind::AnnotateRights,
+        seg.text_for(Aspect::Rights, doc),
+        AspectKind::Rights,
+        protocol::try_parse_rights,
+    );
+    let Extractor {
+        mut reprompts,
+        fallbacks,
+        ..
+    } = ex;
 
+    // --- Verify verbatim presence (the paper's hallucination check) of
+    // every extracted row in one call against the policy, folded once.
+    // Data types are checked before normalization, so only verified
+    // mentions are normalized. ---
+    let row_count = type_rows.len() + purpose_rows.len() + handling_rows.len() + rights_rows.len();
+    let verdicts = if options.verify {
+        let folded_policy =
+            FoldedDoc::from_lines_in(&mut arena.fold, doc.lines.iter().map(|l| l.text.as_str()));
+        let verdicts = folded_policy.verify_batch(
+            type_rows
+                .iter()
+                .map(|(_, text)| text.as_str())
+                .chain(purpose_rows.iter().map(|(_, text, _, _)| text.as_str()))
+                .chain(handling_rows.iter().map(|(_, text, _, _)| text.as_str()))
+                .chain(rights_rows.iter().map(|(_, text, _)| text.as_str())),
+        );
+        // Hand the folded buffers back so the next document on this worker
+        // reuses their capacity.
+        arena.fold.recycle(folded_policy);
+        verdicts
+    } else {
+        vec![true; row_count]
+    };
+    let hallucinations_removed = verdicts.iter().filter(|present| !**present).count();
+    let mut verdicts = verdicts.into_iter();
+    let mut present = move || verdicts.next().unwrap_or(false);
+
+    // --- Data types: normalize the verified mentions. ---
+    let rows: Vec<(usize, String)> = type_rows.into_iter().filter(|_| present()).collect();
     if !rows.is_empty() {
         // Unique mention texts, order-preserving (hash-set guarded; the
         // index also serves the descriptor join below).
@@ -174,14 +207,14 @@ pub fn annotate_policy_in(
             }
         }
         let norm_input = protocol::number_lines(unique.iter().map(String::as_str));
-        let norm_out = complete_checked(
+        let norm_rows = complete_checked(
             chatbot,
-            &TaskPrompt::build(TaskKind::NormalizeDataTypes),
+            TaskPrompt::of(TaskKind::NormalizeDataTypes),
             &norm_input,
             options.reprompt_retries,
             &mut reprompts,
+            protocol::try_parse_normalizations,
         );
-        let norm_rows = protocol::parse_normalizations(&norm_out);
         // index (1-based) → (descriptor, category)
         let mut normalized: Vec<Option<(String, DataTypeCategory)>> = vec![None; unique.len()];
         for (idx, descriptor, category_name) in norm_rows {
@@ -209,27 +242,9 @@ pub fn annotate_policy_in(
     }
 
     // --- Purposes. ---
-    let (purpose_rows, used_fallback) = extract_with_fallback(
-        chatbot,
-        TaskKind::AnnotatePurposes,
-        seg.text_for(Aspect::Purposes, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
-        protocol::parse_purposes,
-    );
-    if used_fallback {
-        fallbacks.push(AspectKind::Purposes);
-    }
-    let present = options.verify.then(|| {
-        folded_policy.verify_batch(purpose_rows.iter().map(|(_, text, _, _)| text.as_str()))
-    });
-    for (i, (line, text, descriptor, category_name)) in purpose_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
+    for (line, text, descriptor, category_name) in purpose_rows {
+        if !present() {
+            continue;
         }
         if let Some(category) = PurposeCategory::from_name(&category_name) {
             annotations.push(Annotation::new(
@@ -244,27 +259,9 @@ pub fn annotate_policy_in(
     }
 
     // --- Handling. ---
-    let (handling_rows, used_fallback) = extract_with_fallback(
-        chatbot,
-        TaskKind::AnnotateHandling,
-        seg.text_for(Aspect::Handling, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
-        protocol::parse_handling,
-    );
-    if used_fallback {
-        fallbacks.push(AspectKind::Handling);
-    }
-    let present = options.verify.then(|| {
-        folded_policy.verify_batch(handling_rows.iter().map(|(_, text, _, _)| text.as_str()))
-    });
-    for (i, (line, text, label_name, period)) in handling_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
+    for (line, text, label_name, period) in handling_rows {
+        if !present() {
+            continue;
         }
         if let Some(label) = RetentionLabel::from_name(&label_name) {
             let period_days = period.as_deref().and_then(parse_period_days);
@@ -283,27 +280,9 @@ pub fn annotate_policy_in(
     }
 
     // --- Rights. ---
-    let (rights_rows, used_fallback) = extract_with_fallback(
-        chatbot,
-        TaskKind::AnnotateRights,
-        seg.text_for(Aspect::Rights, doc),
-        full_text_input,
-        &options,
-        &mut reprompts,
-        protocol::parse_rights,
-    );
-    if used_fallback {
-        fallbacks.push(AspectKind::Rights);
-    }
-    let present = options
-        .verify
-        .then(|| folded_policy.verify_batch(rights_rows.iter().map(|(_, text, _)| text.as_str())));
-    for (i, (line, text, label_name)) in rights_rows.into_iter().enumerate() {
-        if let Some(p) = &present {
-            if !p.get(i).copied().unwrap_or(false) {
-                hallucinations_removed = hallucinations_removed.saturating_add(1);
-                continue;
-            }
+    for (line, text, label_name) in rights_rows {
+        if !present() {
+            continue;
         }
         if let Some(label) = ChoiceLabel::from_name(&label_name) {
             annotations.push(Annotation::new(
@@ -338,10 +317,6 @@ pub fn annotate_policy_in(
         seen.insert(key)
     });
 
-    // Hand the folded buffers back so the next document on this worker
-    // reuses their capacity.
-    arena.fold.recycle(folded_policy);
-
     AnnotationOutcome {
         annotations,
         fallbacks,
@@ -350,68 +325,85 @@ pub fn annotate_policy_in(
     }
 }
 
-/// Complete `prompt` with a bounded re-prompt loop: when the completion is
-/// not well-formed protocol output (refusal, truncation, malformed JSON),
+/// Complete `prompt` with a bounded re-prompt loop and decode the result
+/// once with `parse`: when the completion is not well-formed protocol
+/// output (refusal, truncation, malformed JSON — `parse` returns `None`),
 /// re-issue the task with an incremented attempt number — up to `retries`
-/// extra attempts — so transient LLM faults are redrawn. The last output is
-/// returned either way; the tolerant parsers downstream handle a completion
-/// that is still malformed after the budget is spent.
-fn complete_checked(
+/// extra attempts — so transient LLM faults are redrawn. A completion still
+/// malformed when the budget is spent yields no rows.
+fn complete_checked<T>(
     chatbot: &dyn Chatbot,
     prompt: &TaskPrompt,
     input: &str,
     retries: u32,
     reprompts: &mut usize,
-) -> String {
-    let mut output = chatbot.complete_attempt(prompt, input, 0);
-    for attempt in 1..=retries {
-        if protocol::is_well_formed(&output) {
-            break;
+    parse: fn(&str) -> Option<Vec<T>>,
+) -> Vec<T> {
+    let mut attempt = 0;
+    loop {
+        if let Some(rows) = parse(&chatbot.complete_attempt(prompt, input, attempt)) {
+            return rows;
+        }
+        if attempt >= retries {
+            return Vec::new();
         }
         *reprompts += 1;
-        output = chatbot.complete_attempt(prompt, input, attempt);
+        attempt += 1;
     }
-    output
 }
 
-/// Run `task` on the aspect's section text; if it parses to nothing, run it
-/// again over the full text. Returns the rows and whether fallback fired.
-/// Both calls go through the bounded re-prompt loop, so a transient
-/// refusal or truncation does not masquerade as an empty section and
-/// needlessly trigger the (much more expensive) full-text fallback.
-fn extract_with_fallback<T>(
-    chatbot: &dyn Chatbot,
-    task: TaskKind,
-    section: Vec<(usize, &str)>,
-    full_text_input: &str,
-    options: &AnnotateOptions,
-    reprompts: &mut usize,
-    parse: impl Fn(&str) -> Vec<T>,
-) -> (Vec<T>, bool) {
-    let prompt = TaskPrompt::build(task);
-    if !section.is_empty() {
-        let input = protocol::number_lines_with(section);
-        let rows = parse(&complete_checked(
-            chatbot,
-            &prompt,
-            &input,
-            options.reprompt_retries,
-            reprompts,
-        ));
-        if !rows.is_empty() || !options.fallback {
-            return (rows, false);
+/// What one policy's four extraction tasks share: the chatbot, the
+/// full-text fallback input, the options, and the running re-prompt and
+/// fallback tallies.
+struct Extractor<'a> {
+    chatbot: &'a dyn Chatbot,
+    full_text_input: &'a str,
+    options: AnnotateOptions,
+    reprompts: usize,
+    fallbacks: Vec<AspectKind>,
+}
+
+impl Extractor<'_> {
+    /// Run `task` on the aspect's section text; if it parses to nothing,
+    /// run it again over the full text and record `kind` as a fallback.
+    /// Both calls go through the bounded re-prompt loop, so a transient
+    /// refusal or truncation does not masquerade as an empty section and
+    /// needlessly trigger the (much more expensive) full-text fallback.
+    fn extract<T>(
+        &mut self,
+        task: TaskKind,
+        section: Vec<(usize, &str)>,
+        kind: AspectKind,
+        parse: fn(&str) -> Option<Vec<T>>,
+    ) -> Vec<T> {
+        let prompt = TaskPrompt::of(task);
+        let retries = self.options.reprompt_retries;
+        if !section.is_empty() {
+            let input = protocol::number_lines_with(section);
+            let rows = complete_checked(
+                self.chatbot,
+                prompt,
+                &input,
+                retries,
+                &mut self.reprompts,
+                parse,
+            );
+            if !rows.is_empty() || !self.options.fallback {
+                return rows;
+            }
+        } else if !self.options.fallback {
+            return Vec::new();
         }
-    } else if !options.fallback {
-        return (Vec::new(), false);
+        self.fallbacks.push(kind);
+        complete_checked(
+            self.chatbot,
+            prompt,
+            self.full_text_input,
+            retries,
+            &mut self.reprompts,
+            parse,
+        )
     }
-    let rows = parse(&complete_checked(
-        chatbot,
-        &prompt,
-        full_text_input,
-        options.reprompt_retries,
-        reprompts,
-    ));
-    (rows, true)
 }
 
 /// Convert a normalized "N unit" period string to days.

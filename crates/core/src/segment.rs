@@ -184,8 +184,8 @@ fn segment_by_headings(
     // by heading ranks is cosmetic for the simulated model).
     let toc_input =
         protocol::number_lines_with(headings.iter().map(|(n, line)| (*n, line.text.as_str())));
-    let prompt = TaskPrompt::build(TaskKind::LabelHeadings);
-    let output = chatbot.complete(&prompt, &toc_input);
+    let prompt = TaskPrompt::of(TaskKind::LabelHeadings);
+    let output = chatbot.complete(prompt, &toc_input);
     let labels = protocol::parse_labels(&output);
     let label_map: BTreeMap<usize, Vec<Aspect>> = labels.into_iter().collect();
 
@@ -212,8 +212,8 @@ fn segment_by_headings(
 /// Step 2: whole-text line labeling.
 fn segment_by_text(chatbot: &dyn Chatbot, doc: &ExtractedDoc) -> SegmentedPolicy {
     let input = protocol::number_lines(doc.lines.iter().map(|l| l.text.as_str()));
-    let prompt = TaskPrompt::build(TaskKind::SegmentText);
-    let output = chatbot.complete(&prompt, &input);
+    let prompt = TaskPrompt::of(TaskKind::SegmentText);
+    let output = chatbot.complete(prompt, &input);
     let mut aspect_lines: BTreeMap<Aspect, Vec<usize>> = BTreeMap::new();
     for (n, aspects) in protocol::parse_labels(&output) {
         for aspect in aspects {

@@ -691,6 +691,49 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_annotation_text_survives_reopen_byte_identically() {
+        use crate::dataset::{AnnotatedPolicy, SegmentationMethod};
+        use aipan_taxonomy::records::{Annotation, AnnotationPayload, AspectKind};
+        use aipan_taxonomy::{DataTypeCategory, Sector};
+
+        let dir = scratch_dir("unicode");
+        let base = dir.join("run.jsonl");
+        let text = "votre adresse é-mail (中文 😀) \"cité\" a\\b\nline\u{1}";
+        let original = JournalEntry {
+            domain: "exämple.com".to_string(),
+            english_privacy_pages: 1,
+            policy: Some(AnnotatedPolicy {
+                domain: "exämple.com".to_string(),
+                sector: Sector::Industrials,
+                annotations: vec![Annotation::new(
+                    AnnotationPayload::DataType {
+                        descriptor: "adresse é-mail 😀".to_string(),
+                        category: DataTypeCategory::from_name("Contact info").unwrap(),
+                    },
+                    text,
+                    7,
+                )],
+                fallbacks: vec![AspectKind::Types],
+                hallucinations_removed: 0,
+                core_word_count: 12,
+                segmentation: SegmentationMethod::Headings,
+                policy_path: "/datenschutz-é".to_string(),
+            }),
+        };
+        let line = serde_json::to_string(&original).unwrap();
+        {
+            let journal = ShardedJournal::open(&base, 2);
+            journal.record(original.clone());
+            assert_eq!(journal.write_errors(), 0);
+        }
+        let reopened = ShardedJournal::open(&base, 2);
+        let back = reopened.get(&original.domain).expect("entry recovered");
+        assert_eq!(back, original);
+        assert_eq!(serde_json::to_string(&back).unwrap(), line);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn open_seeds_from_legacy_single_file() {
         let dir = scratch_dir("legacy");
         let base = dir.join("run.jsonl");

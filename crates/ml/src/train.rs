@@ -46,11 +46,11 @@ fn policy_lines(world: &World, limit: usize) -> Vec<(String, Vec<String>)> {
 /// Build a line → aspect corpus: the teacher is the chatbot's whole-text
 /// segmentation task. Lines with multiple labels contribute their first.
 pub fn build_aspect_corpus(world: &World, teacher: &dyn Chatbot, limit: usize) -> Vec<LabeledLine> {
-    let prompt = TaskPrompt::build(TaskKind::SegmentText);
+    let prompt = TaskPrompt::of(TaskKind::SegmentText);
     let mut corpus = Vec::new();
     for (domain, lines) in policy_lines(world, limit) {
         let input = protocol::number_lines(lines.iter().map(String::as_str));
-        let labels = protocol::parse_labels(&teacher.complete(&prompt, &input));
+        let labels = protocol::parse_labels(&teacher.complete(prompt, &input));
         for (n, aspects) in labels {
             let Some(text) = lines.get(n - 1) else {
                 continue;
@@ -71,11 +71,11 @@ pub fn build_aspect_corpus(world: &World, teacher: &dyn Chatbot, limit: usize) -
 /// Build a line → rights-label corpus: the teacher is the chatbot's rights
 /// annotation task; unlabeled lines become the `"none"` class.
 pub fn build_rights_corpus(world: &World, teacher: &dyn Chatbot, limit: usize) -> Vec<LabeledLine> {
-    let prompt = TaskPrompt::build(TaskKind::AnnotateRights);
+    let prompt = TaskPrompt::of(TaskKind::AnnotateRights);
     let mut corpus = Vec::new();
     for (domain, lines) in policy_lines(world, limit) {
         let input = protocol::number_lines(lines.iter().map(String::as_str));
-        let rows = protocol::parse_rights(&teacher.complete(&prompt, &input));
+        let rows = protocol::parse_rights(&teacher.complete(prompt, &input));
         let mut labels: Vec<Option<String>> = vec![None; lines.len()];
         for (n, _, label) in rows {
             if n >= 1 && n <= lines.len() {

@@ -165,11 +165,6 @@ pub struct AcAutomaton {
 }
 
 impl AcAutomaton {
-    /// Number of patterns inserted.
-    pub fn pattern_count(&self) -> usize {
-        self.pat_lens.len()
-    }
-
     /// Length (in symbols) of pattern `pat`.
     pub fn pattern_len(&self, pat: u32) -> usize {
         self.pat_lens.get(pat as usize).copied().unwrap_or(0) as usize
@@ -308,7 +303,6 @@ mod tests {
     #[test]
     fn pattern_metadata() {
         let ac = build(&["he", "hers"]);
-        assert_eq!(ac.pattern_count(), 2);
         assert_eq!(ac.pattern_len(0), 2);
         assert_eq!(ac.pattern_len(1), 4);
     }

@@ -3,14 +3,16 @@
 //! The verification step of the paper's §3.2 loop asks, per candidate row,
 //! "does the folded policy contain the folded candidate text?". The legacy
 //! implementation folded the whole policy once per *task* and the candidate
-//! once per *row*, then ran a full substring scan per row. A [`FoldedDoc`]
-//! folds the document once at annotation start; [`FoldedDoc::verify_batch`]
-//! answers a whole batch of candidate rows with one Aho–Corasick scan of
-//! that buffer, folding each needle incrementally into the automaton trie
-//! (no per-row fold allocation).
+//! once per *row*. A [`FoldedDoc`] folds the document once per annotation
+//! pass; [`FoldedDoc::verify_batch`] answers all of a policy's candidate
+//! rows in one call, folding each needle into one reused scratch buffer
+//! and searching the folded document for it.
+//!
+//! Per-needle search beats one Aho–Corasick scan for all needles here: on
+//! real needle sets (~74 rows per policy) the substring searches cost
+//! about half of building the automaton and scanning with it.
 
-use crate::ac::AcBuilder;
-use crate::fold::{fold_bytes, fold_into};
+use crate::fold::fold_into;
 
 /// A document folded once: `fold(line) + ' '` per line, concatenated —
 /// byte-identical to folding and joining the lines individually.
@@ -105,33 +107,18 @@ impl FoldedDoc {
     }
 
     /// For each needle, whether `fold(needle)` occurs as a substring of the
-    /// folded buffer — the batched equivalent of
-    /// `self.folded().contains(&fold(needle))` per needle, answered with a
-    /// single scan. Needles that fold to the empty string are trivially
-    /// present, matching `str::contains("")`.
+    /// folded buffer: `self.folded().contains(&fold(needle))` per needle,
+    /// with every needle folded into one reused scratch buffer. Needles
+    /// that fold to the empty string are trivially present, as with
+    /// `str::contains("")`.
     pub fn verify_batch<'a>(&self, needles: impl IntoIterator<Item = &'a str>) -> Vec<bool> {
-        let mut builder = AcBuilder::new();
-        let pats: Vec<Option<u32>> = needles
+        let mut folded_needle = String::new();
+        needles
             .into_iter()
-            .map(|needle| builder.add(fold_bytes(needle).map(u32::from)))
-            .collect();
-        let ac = builder.build();
-        let mut found = vec![false; ac.pattern_count()];
-        let mut remaining = found.len();
-        ac.scan(self.buf.bytes().map(u32::from), &mut |_, pat| {
-            let Some(slot) = found.get_mut(pat as usize) else {
-                return true;
-            };
-            if !*slot {
-                *slot = true;
-                remaining -= 1;
-            }
-            remaining > 0
-        });
-        pats.into_iter()
-            .map(|pat| match pat {
-                None => true,
-                Some(id) => found.get(id as usize).copied().unwrap_or(false),
+            .map(|needle| {
+                folded_needle.clear();
+                fold_into(&mut folded_needle, needle);
+                self.buf.contains(folded_needle.as_str())
             })
             .collect()
     }

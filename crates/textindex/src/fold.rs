@@ -4,9 +4,7 @@
 //! build time but shows up hot when the pipeline folds thousands of
 //! candidate rows per corpus. These helpers produce the *same bytes* —
 //! property-tested against `fold` in `tests/fold_props.rs` — without the
-//! per-call allocation: [`fold_into`] appends to a caller-reused buffer,
-//! and [`fold_bytes`] streams the folded UTF-8 bytes one at a time (used
-//! to insert verification needles straight into an automaton trie).
+//! per-call allocation: [`fold_into`] appends to a caller-reused buffer.
 //!
 //! The fold itself: ASCII-lowercase; keep alphanumerics plus `-` `/` `&`
 //! `'`; collapse every separator run to a single space; no leading or
@@ -36,70 +34,10 @@ pub fn fold_into(dst: &mut String, s: &str) {
     }
 }
 
-/// Stream the UTF-8 bytes of `fold(s)` without materializing it.
-pub fn fold_bytes(s: &str) -> FoldBytes<'_> {
-    FoldBytes {
-        chars: s.chars(),
-        buf: [0; 4],
-        buf_len: 0,
-        buf_pos: 0,
-        pending_space: false,
-        emitted: false,
-    }
-}
-
-/// Iterator state for [`fold_bytes`].
-#[derive(Debug, Clone)]
-pub struct FoldBytes<'a> {
-    chars: std::str::Chars<'a>,
-    /// UTF-8 bytes of the current folded char still to be yielded.
-    buf: [u8; 4],
-    buf_len: u8,
-    buf_pos: u8,
-    /// A separator run was seen after at least one kept char; emit one
-    /// space if another kept char follows (never trailing).
-    pending_space: bool,
-    emitted: bool,
-}
-
-impl Iterator for FoldBytes<'_> {
-    type Item = u8;
-
-    fn next(&mut self) -> Option<u8> {
-        if self.buf_pos < self.buf_len {
-            let b = self.buf[self.buf_pos as usize];
-            self.buf_pos += 1;
-            return Some(b);
-        }
-        loop {
-            let ch = self.chars.next()?.to_ascii_lowercase();
-            if keep(ch) {
-                let encoded = ch.encode_utf8(&mut self.buf);
-                self.buf_len = u8::try_from(encoded.len()).unwrap_or(u8::MAX);
-                self.buf_pos = 1;
-                self.emitted = true;
-                if self.pending_space {
-                    self.pending_space = false;
-                    self.buf_pos = 0;
-                    return Some(b' ');
-                }
-                return Some(self.buf[0]);
-            }
-            if self.emitted {
-                self.pending_space = true;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aipan_taxonomy::normalize::fold;
-
-    fn folded_via_bytes(s: &str) -> Vec<u8> {
-        fold_bytes(s).collect()
-    }
 
     #[test]
     fn matches_taxonomy_fold_on_representative_inputs() {
@@ -120,11 +58,6 @@ mod tests {
             let mut appended = String::from("prefix·");
             fold_into(&mut appended, s);
             assert_eq!(appended, format!("prefix·{expected}"), "fold_into({s:?})");
-            assert_eq!(
-                folded_via_bytes(s),
-                expected.as_bytes().to_vec(),
-                "fold_bytes({s:?})"
-            );
         }
     }
 
@@ -138,9 +71,13 @@ mod tests {
     }
 
     #[test]
-    fn multibyte_kept_chars_stream_all_their_bytes() {
+    fn multibyte_kept_chars_survive_fold_into() {
         // '中' is alphanumeric (Unicode letter) and 3 bytes in UTF-8.
-        assert_eq!(folded_via_bytes("中"), "中".as_bytes().to_vec());
-        assert_eq!(folded_via_bytes("a 中 b"), "a 中 b".as_bytes().to_vec());
+        let mut buf = String::new();
+        fold_into(&mut buf, "中");
+        assert_eq!(buf, "中");
+        buf.clear();
+        fold_into(&mut buf, "a 中 b");
+        assert_eq!(buf, "a 中 b");
     }
 }

@@ -8,21 +8,19 @@
 //!
 //! * [`AcAutomaton`] — a classic Aho–Corasick automaton (goto/fail/output
 //!   tables) over `u32` symbol streams. Symbols are whatever the caller
-//!   interns: byte values for substring search, token identifiers for
-//!   vocabulary phrase matching. One scan of a document yields *every*
+//!   interns; the chatbot's vocabulary matcher feeds it token identifiers
+//!   for phrase matching. One scan of a document yields *every*
 //!   occurrence of *every* pattern.
 //! * [`FoldedDoc`] — a policy document folded exactly once through the
 //!   taxonomy normalization ([`aipan_taxonomy::normalize::fold`]) into a single
-//!   buffer with per-line spans. Verification queries run as one batched
-//!   automaton scan over that buffer ([`FoldedDoc::verify_batch`]), with
-//!   the needles folded incrementally ([`fold_bytes`]) so no per-row fold
-//!   `String` is ever allocated.
+//!   buffer with per-line spans. Verification answers all of a policy's
+//!   candidate rows in one call ([`FoldedDoc::verify_batch`]), folding each
+//!   needle into a reused scratch buffer instead of a fresh `String` per row.
 //!
-//! The folding helpers ([`fold_into`], [`fold_bytes`]) are byte-exact
-//! re-expressions of [`aipan_taxonomy::normalize::fold`] — property-tested against it
-//! in `tests/fold_props.rs` — differing only in where the output goes
-//! (appended to a reused buffer / streamed as bytes) rather than in what it
-//! is.
+//! The folding helper [`fold_into`] is a byte-exact re-expression of
+//! [`aipan_taxonomy::normalize::fold`] — property-tested against it in
+//! `tests/fold_props.rs` — differing only in where the output goes
+//! (appended to a reused buffer) rather than in what it is.
 
 pub mod ac;
 pub mod doc;
@@ -30,4 +28,4 @@ pub mod fold;
 
 pub use ac::{AcAutomaton, AcBuilder};
 pub use doc::{FoldArena, FoldedDoc};
-pub use fold::{fold_bytes, fold_into, FoldBytes};
+pub use fold::fold_into;

@@ -1,9 +1,9 @@
-//! Property tests: the allocation-free fold re-expressions are byte-exact
+//! Property tests: the allocation-free fold re-expression is byte-exact
 //! against `aipan_taxonomy::normalize::fold`, and `FoldedDoc::verify_batch` agrees
 //! with the legacy per-needle `contains(&fold(needle))` check.
 
 use aipan_taxonomy::normalize::fold;
-use aipan_textindex::{fold_bytes, fold_into, FoldedDoc};
+use aipan_textindex::{fold_into, FoldedDoc};
 use proptest::prelude::*;
 
 proptest! {
@@ -12,12 +12,6 @@ proptest! {
         let mut buf = String::from("⟨seed⟩");
         fold_into(&mut buf, &s);
         prop_assert_eq!(buf, format!("⟨seed⟩{}", fold(&s)));
-    }
-
-    #[test]
-    fn fold_bytes_streams_exactly_fold(s in ".{0,120}") {
-        let streamed: Vec<u8> = fold_bytes(&s).collect();
-        prop_assert_eq!(streamed, fold(&s).into_bytes());
     }
 
     #[test]
